@@ -28,6 +28,16 @@ ORDER_CAPACITY = 1024  # per-district ring capacity (o_id wraps modulo this)
 MIN_LINES, MAX_LINES = 5, 15
 
 
+def item_name_hash(i: int) -> int:
+    """The item record's 32-bit name hash: a fixed multiplicative mix of ``i``.
+
+    Built-in ``hash`` of a tuple with a ``str`` is salted per process
+    (``PYTHONHASHSEED``), which would make the setup image, and every
+    trace digest keyed on it, differ from run to run.
+    """
+    return (i * 0x9E3779B1 + 0x7F4A7C15) & 0xFFFF_FFFF
+
+
 class TpccWarehouse:
     """One warehouse's worth of TPC-C state in simulated NVMM."""
 
@@ -86,7 +96,7 @@ class TpccWarehouse:
             price = rng.randrange(100, 10_000)
             ctx.store_words(
                 self.item_rec(i),
-                [price, hash(("item", i)) & 0xFFFF_FFFF, 0, 0, 0, 0, 0, 0],
+                [price, item_name_hash(i), 0, 0, 0, 0, 0, 0],
             )
             ctx.store_words(
                 self.stock_rec(i),

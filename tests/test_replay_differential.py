@@ -11,6 +11,8 @@ machine-reuse regression for back-to-back replays.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -307,3 +309,39 @@ class TestGoldenTrace:
         assert replayed.transactions == golden["result"]["transactions"]
         assert replayed.elapsed_ns == golden["result"]["elapsed_ns"]
         assert replayed.stats == golden["result"]["stats"]
+
+
+# ---------------------------------------------------------------------------
+# Trace digests do not depend on the process's string-hash salt.
+# ---------------------------------------------------------------------------
+
+_DIGEST_SCRIPT = """
+from repro.replay import record_trace
+from repro.workloads.base import WorkloadParams
+from tests.conftest import tiny_config
+trace, _result, _system = record_trace(
+    "MorLog-SLDE", "tpcc", config=tiny_config(),
+    params=WorkloadParams(initial_items=48, key_space=96, seed=11),
+    n_transactions=8, n_threads=2,
+)
+print(trace.digest())
+"""
+
+
+def _digest_in_subprocess(hash_seed: str) -> str:
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT], env=env, cwd=root,
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_tpcc_digest_is_stable_across_hash_seeds():
+    # The TPC-C setup image once stored hash(("item", i)), which str
+    # hashing salts per process; digest-keyed caches then never hit.
+    assert _digest_in_subprocess("1") == _digest_in_subprocess("2")
