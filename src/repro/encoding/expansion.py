@@ -61,27 +61,82 @@ def _level_table(policy: ExpansionPolicy) -> Tuple[int, ...]:
     return ordered[: 1 << policy.bits_per_cell]
 
 
-@lru_cache(maxsize=1 << 16)
-def map_bits_to_cells(payload: int, payload_bits: int, policy: ExpansionPolicy) -> Tuple[int, ...]:
-    """Map a payload bitstream onto TLC cell levels under ``policy``.
+#: Payload bits each table lookup of :func:`pack_payload` consumes.
+PACK_CHUNK_BITS = 12
+_PACK_CHUNK_MASK = (1 << PACK_CHUNK_BITS) - 1
 
-    Returns the levels for the cells actually used; trailing cells of the
-    word slot are left unprogrammed by the caller (that is where the
-    expansion-coding write savings come from).  Memoized: payloads repeat
-    heavily (zeros, small integers, pointers).
+
+def _pack_table(policy: ExpansionPolicy) -> Tuple[Tuple[int, ...], int]:
+    """``(table, cells)``: one chunk of payload symbols -> packed levels.
+
+    ``table[chunk]`` holds the levels of the chunk's ``cells`` cells,
+    cell *j* of the chunk at bits 3j..3j+2.  Built one cell at a time:
+    the new cell's symbol is the index's high part.
     """
-    if payload < 0 or (payload_bits and payload >> payload_bits):
-        raise ValueError("payload wider than declared size")
+    levels = _level_table(policy)
     bpc = policy.bits_per_cell
+    cells = PACK_CHUNK_BITS // bpc
+    table = [0]
+    for j in range(cells):
+        table = [levels[s] << (3 * j) | low for s in range(1 << bpc) for low in table]
+    return tuple(table), cells
+
+
+# Keyed by ``policy._value_`` (its bits per cell): a plain attribute read,
+# where ``policy.value`` and hashing an enum member run Python-level code.
+_PACK_TABLES = {policy._value_: _pack_table(policy) for policy in ExpansionPolicy}
+
+
+def pack_payload(payload: int, payload_bits: int, policy: ExpansionPolicy) -> Tuple[int, int]:
+    """Map a payload onto TLC cells; returns ``(cells, n_cells)``.
+
+    ``cells`` packs the level of cell *i* at bits 3i..3i+2, for the
+    ``n_cells`` cells the payload occupies; trailing cells of the word
+    slot are left unprogrammed by the caller (that is where the
+    expansion-coding write savings come from).  ``payload`` must fit
+    ``payload_bits`` (as :class:`~repro.encoding.base.EncodedWord`
+    guarantees).  One table lookup per :data:`PACK_CHUNK_BITS` payload
+    bits.
+    """
+    bpc = policy._value_
     n_cells = (payload_bits + bpc - 1) // bpc
     if n_cells > CELLS_PER_WORD:
         raise ValueError(
             "payload of %d bits does not fit a word slot under %s"
             % (payload_bits, policy)
         )
-    table = _level_table(policy)
-    mask = (1 << bpc) - 1
-    return tuple(table[(payload >> (i * bpc)) & mask] for i in range(n_cells))
+    table, chunk_cells = _PACK_TABLES[bpc]
+    step = 3 * chunk_cells
+    width = 3 * n_cells
+    cells = 0
+    shift = 0
+    while shift < width:
+        cells |= table[payload & _PACK_CHUNK_MASK] << shift
+        payload >>= PACK_CHUNK_BITS
+        shift += step
+    return cells & ((1 << width) - 1), n_cells
+
+
+def pack_levels(levels: Sequence[int]) -> int:
+    """Pack a sequence of TLC levels, cell *i* at bits 3i..3i+2."""
+    cells = 0
+    for i, level in enumerate(levels):
+        if not 0 <= level < 8:
+            raise ValueError("TLC level %r out of range" % (level,))
+        cells |= level << (3 * i)
+    return cells
+
+
+def map_bits_to_cells(payload: int, payload_bits: int, policy: ExpansionPolicy) -> Tuple[int, ...]:
+    """Map a payload bitstream onto TLC cell levels under ``policy``.
+
+    Returns the levels for the cells actually used, one per cell; the
+    tuple form of :func:`pack_payload`.
+    """
+    if payload < 0 or (payload_bits and payload >> payload_bits):
+        raise ValueError("payload wider than declared size")
+    cells, n_cells = pack_payload(payload, payload_bits, policy)
+    return tuple((cells >> (3 * i)) & 7 for i in range(n_cells))
 
 
 def cells_to_bits(levels: Sequence[int], payload_bits: int, policy: ExpansionPolicy) -> int:

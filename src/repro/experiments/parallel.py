@@ -91,44 +91,32 @@ def resolve_cell(
 ) -> CellSpec:
     """Resolve run_design-style arguments into an explicit CellSpec.
 
-    Explicit ``n_transactions``/``n_threads`` must be positive: an
-    explicit zero is a caller error, not a request for the scale default
-    (the ``or``-coercion family of bugs — see ``System.run``'s identical
-    ``n_threads=0`` fix).
+    Explicit ``n_transactions``/``n_threads`` must be positive (see
+    :func:`repro.experiments.runner.resolve_counts`).
     """
     from repro.experiments.runner import (
         ExperimentScale,
         MACRO_NAMES,
         _scale,
         default_config,
+        resolve_counts,
         resolve_params,
     )
 
-    if n_transactions is not None and n_transactions <= 0:
-        raise ValueError(
-            "n_transactions must be positive, got %r (omit it or pass None"
-            " for the scale default)" % (n_transactions,)
-        )
-    if n_threads is not None and n_threads <= 0:
-        raise ValueError(
-            "n_threads must be positive, got %r (omit it or pass None for"
-            " the scale default)" % (n_threads,)
-        )
-    scale = scale or ExperimentScale()
+    n_transactions, n_threads = resolve_counts(
+        n_transactions, n_threads, scale or ExperimentScale(),
+        workload in MACRO_NAMES, dataset,
+    )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)
-    macro = workload in MACRO_NAMES
     return CellSpec(
         design=design,
         workload=workload,
         dataset=dataset,
         config_dict=config_to_dict(config),
         params_dict=params_to_dict(params),
-        n_transactions=(
-            n_transactions if n_transactions is not None
-            else scale.transactions(macro, dataset)
-        ),
-        n_threads=n_threads if n_threads is not None else scale.threads(macro),
+        n_transactions=n_transactions,
+        n_threads=n_threads,
         repro_scale=_scale(),
     )
 

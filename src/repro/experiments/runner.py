@@ -15,7 +15,7 @@ are bit-identical either way because every cell is seeded.
 import os
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
@@ -81,6 +81,37 @@ def resolve_params(
     return replace(params or DEFAULT_PARAMS, dataset=dataset)
 
 
+def resolve_counts(
+    n_transactions: Optional[int],
+    n_threads: Optional[int],
+    scale: "ExperimentScale",
+    macro: bool,
+    dataset: DatasetSize,
+) -> Tuple[int, int]:
+    """``(n_transactions, n_threads)``: explicit counts or the scale's.
+
+    ``None`` asks for the scale default.  An explicit count must be
+    positive: zero is a caller error, not a request for the default (the
+    ``or``-coercion family of bugs — see ``System.run``'s identical
+    ``n_threads=0`` fix).
+    """
+    if n_transactions is not None and n_transactions <= 0:
+        raise ValueError(
+            "n_transactions must be positive, got %r (omit it or pass None"
+            " for the scale default)" % (n_transactions,)
+        )
+    if n_threads is not None and n_threads <= 0:
+        raise ValueError(
+            "n_threads must be positive, got %r (omit it or pass None for"
+            " the scale default)" % (n_threads,)
+        )
+    return (
+        n_transactions if n_transactions is not None
+        else scale.transactions(macro, dataset),
+        n_threads if n_threads is not None else scale.threads(macro),
+    )
+
+
 def run_design(
     design: str,
     workload_name: str,
@@ -140,17 +171,15 @@ def run_design_system(
     cannot: the trace bus, and host-side diagnostics such as the codec
     memo counters (``system.controller.nvm.memo_stats()``).
     """
-    scale = scale or ExperimentScale()
+    n_transactions, n_threads = resolve_counts(
+        n_transactions, n_threads, scale or ExperimentScale(),
+        workload_name in MACRO_NAMES, dataset,
+    )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)
-    macro = workload_name in MACRO_NAMES
     system = make_system(design, config, trace=trace)
     workload = make_workload(workload_name, params)
-    result = system.run(
-        workload,
-        n_transactions or scale.transactions(macro, dataset),
-        n_threads or scale.threads(macro),
-    )
+    result = system.run(workload, n_transactions, n_threads)
     return result, system
 
 

@@ -7,6 +7,10 @@ maps the payload onto cell levels, and programs data and tag cells under
 DCW; cells beyond the encoded payload keep their old levels — that is where
 expansion coding and DLDC save writes.
 
+A slot's cells are packed ints, 3 bits per cell with cell *i* at bits
+3i..3i+2: the data cells as :func:`~repro.encoding.expansion.pack_payload`
+lays them out, the tag cells as the 21-bit tag value itself.
+
 The array also keeps the *logical* value of every word so recovery and
 tests can check decode(read(addr)) against ground truth, and supports
 snapshot/restore for crash-injection testing.
@@ -14,26 +18,14 @@ snapshot/restore for crash-injection testing.
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.common.bitops import (
-    WORD_BYTES,
-    WORD_MASK,
-    align_down,
-    mask_word,
-    split_cells,
-)
+from repro.common.bitops import WORD_BYTES, WORD_MASK, align_down, mask_word
 from repro.common.config import NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
-from repro.encoding.expansion import (
-    CELLS_PER_WORD,
-    ExpansionPolicy,
-    cells_used,
-    map_bits_to_cells,
-)
-from repro.nvm.cell import ZERO_COST, CellProgramCost, program_cost
+from repro.encoding.expansion import CELLS_PER_WORD, ExpansionPolicy, pack_payload
+from repro.nvm.cell import cost_tables, dcw_cost
 
 # Sideband metadata per word: 3-bit encoding type flag, 2-bit expansion
 # policy, 8-bit dirty flag, plus up to 8 codec tag-payload bits (FPC
@@ -41,33 +33,38 @@ from repro.nvm.cell import ZERO_COST, CellProgramCost, program_cost
 TAG_BITS = 21
 TAG_CELLS = (TAG_BITS + 2) // 3
 
+#: Bound on each array's DCW cost memo, keyed on (old cells, new cells).
+#: Per array because the cost depends on the array's config
+#: (``write_latency_scale``); cleared when full.
+DCW_MEMO_ENTRIES = 8192
+
 _METHOD_IDS = {"raw": 0, "fpc": 1, "crade": 2, "dldc": 3, "flip-n-write": 4, "slde": 5}
-_POLICY_IDS = {ExpansionPolicy.RAW: 0, ExpansionPolicy.EXPAND2: 1, ExpansionPolicy.EXPAND1: 2}
+# Keyed by ``policy._value_``: hashing an enum member runs Python code.
+_POLICY_IDS = {
+    ExpansionPolicy.RAW._value_: 0,
+    ExpansionPolicy.EXPAND2._value_: 1,
+    ExpansionPolicy.EXPAND1._value_: 2,
+}
+_ALIGN = ~(WORD_BYTES - 1)
 
 
 @dataclass(slots=True)
 class StoredWord:
-    """Physical state of one word slot."""
+    """Physical state of one word slot (cells packed 3 bits per cell)."""
 
     logical: int
-    data_cells: Tuple[int, ...]
-    tag_cells: Tuple[int, ...]
+    data_cells: int
+    tag_cells: int
     encoded: Optional[EncodedWord]
 
     @staticmethod
     def pristine() -> "StoredWord":
-        # Slot updates replace the cell tuples wholesale (tuples are
-        # immutable), so every pristine slot can share these constants.
-        return StoredWord(0, _PRISTINE_DATA_CELLS, _PRISTINE_TAG_CELLS, None)
-
-
-_PRISTINE_DATA_CELLS = (0,) * CELLS_PER_WORD
-_PRISTINE_TAG_CELLS = (0,) * TAG_CELLS
+        return StoredWord(0, 0, 0, None)
 
 
 @dataclass(frozen=True)
 class WriteCost:
-    """Accounting result of one word write."""
+    """Accounting result of one word write or write request."""
 
     cells_programmed: int
     bits_written: int
@@ -79,27 +76,13 @@ class WriteCost:
     def zero() -> "WriteCost":
         return WriteCost(0, 0, 0.0, 0.0, True)
 
-    def merged(self, other: "WriteCost") -> "WriteCost":
-        return WriteCost(
-            cells_programmed=self.cells_programmed + other.cells_programmed,
-            bits_written=self.bits_written + other.bits_written,
-            latency_ns=max(self.latency_ns, other.latency_ns),
-            energy_pj=self.energy_pj + other.energy_pj,
-            silent=self.silent and other.silent,
-        )
-
 
 def _tag_value(encoded: EncodedWord) -> int:
     method = _METHOD_IDS.get(encoded.method, 7)
-    policy = _POLICY_IDS[encoded.policy]
+    policy = _POLICY_IDS[encoded.policy._value_]
     dirty = encoded.dirty_mask or 0
     tag_payload = encoded.tag_payload & 0xFF
     return method | (policy << 3) | (dirty << 5) | (tag_payload << 13)
-
-
-@lru_cache(maxsize=1 << 14)
-def _tag_cells(tag_value: int) -> Tuple[int, ...]:
-    return tuple(split_cells(tag_value, TAG_BITS, 3))
 
 
 class NvmArray:
@@ -113,6 +96,8 @@ class NvmArray:
         self.wear: Dict[int, int] = {}
         # Active logical-write journal (crash-injection recovery probes).
         self._journal: Optional[Dict[int, Optional[int]]] = None
+        self._cost_tables = cost_tables(config)
+        self._dcw_memo: Dict[Tuple[int, int], Tuple[int, float, float]] = {}
 
     @staticmethod
     def word_addr(addr: int) -> int:
@@ -126,61 +111,106 @@ class NvmArray:
             self._words[waddr] = slot
         return slot
 
-    def write_word(self, addr: int, encoded: EncodedWord, logical: int) -> WriteCost:
-        """Program one encoded word; returns the DCW cost.
+    def _cost_miss(self, key: Tuple[int, int]) -> Tuple[int, float, float]:
+        """:func:`~repro.nvm.cell.dcw_cost` of ``key``, memoized."""
+        memo = self._dcw_memo
+        if len(memo) >= DCW_MEMO_ENTRIES:
+            memo.clear()
+        cost = memo[key] = dcw_cost(key[0], key[1], *self._cost_tables)
+        return cost
 
-        ``logical`` is the decoded value the slot now represents (kept so
-        reads and recovery can be checked against ground truth).  A silent
-        encoding programs nothing and leaves the slot untouched.
+    def write_words(
+        self,
+        addr: int,
+        encoded: Sequence[EncodedWord],
+        logicals: Sequence[int],
+    ) -> WriteCost:
+        """Program one write request's words, consecutive from ``addr``.
+
+        ``logicals[i]`` is the decoded value word ``i`` now represents
+        (kept so reads and recovery can be checked against ground truth).
+        A silent encoding programs nothing and leaves its slot untouched.
+        The words program in parallel: the request's latency is its
+        slowest word's, its energy the sum, added word by word in order
+        (as is the ``energy_pj`` counter, so float rounding matches a
+        word-at-a-time accounting).  The request is silent iff it
+        programs no cell.
         """
-        if encoded.silent:
-            self.stats.add("silent_word_writes")
-            return WriteCost.zero()
-        slot = self._slot(addr)
-        mapped = map_bits_to_cells(
-            encoded.payload, encoded.payload_bits, encoded.policy
-        )
-        if len(mapped) == CELLS_PER_WORD:
-            new_data = mapped
-        else:
-            new_data = mapped + slot.data_cells[len(mapped):]
-        data_cost = program_cost(slot.data_cells, new_data, self._config)
+        words = self._words
+        wear = self.wear
+        stats = self.stats
+        memo_get = self._dcw_memo.get
+        miss = self._cost_miss
+        waddr = (addr & _ALIGN) - WORD_BYTES
+        cells_total = 0
+        bits_total = 0
+        latency = 0.0
+        energy = 0.0
+        written = 0
+        silent = 0
+        counter = stats.get("energy_pj")
+        for enc, logical in zip(encoded, logicals):
+            waddr += WORD_BYTES
+            if enc.silent:
+                silent += 1
+                continue
+            written += 1
+            slot = words.get(waddr)
+            if slot is None:
+                slot = words[waddr] = StoredWord(0, 0, 0, None)
+            old = slot.data_cells
+            new, n_cells = pack_payload(enc.payload, enc.payload_bits, enc.policy)
+            if n_cells < CELLS_PER_WORD:
+                keep = 3 * n_cells
+                new |= old >> keep << keep
+            if new != old:
+                key = (old, new)
+                cells, word_latency, word_energy = memo_get(key) or miss(key)
+                slot.data_cells = new
+            else:
+                cells, word_latency, word_energy = 0, 0.0, 0.0
+            if enc.tag_bits > 0 or enc.method != "raw":
+                old = slot.tag_cells
+                new = _tag_value(enc)
+                if new != old:
+                    key = (old, new)
+                    tag_cells, tag_latency, tag_energy = memo_get(key) or miss(key)
+                    cells += tag_cells
+                    if tag_latency > word_latency:
+                        word_latency = tag_latency
+                    word_energy += tag_energy
+                    slot.tag_cells = new
+            slot.logical = logical & WORD_MASK
+            slot.encoded = enc
+            if cells:
+                wear[waddr] = wear.get(waddr, 0) + cells
+                cells_total += cells
+                if word_latency > latency:
+                    latency = word_latency
+                energy += word_energy
+                counter += word_energy
+            bits_total += enc.payload_bits + enc.tag_bits
+        if written:
+            stats.add("word_writes", written)
+            stats.add("cells_programmed", cells_total)
+            stats.add("bits_written", bits_total)
+            stats.set("energy_pj", counter)
+        if silent:
+            stats.add("silent_word_writes", silent)
+        return WriteCost(cells_total, bits_total, latency, energy, cells_total == 0)
 
-        tag_cost = ZERO_COST
-        new_tags = slot.tag_cells
-        if encoded.tag_bits > 0 or encoded.method != "raw":
-            new_tags = _tag_cells(_tag_value(encoded))
-            tag_cost = program_cost(slot.tag_cells, new_tags, self._config)
-
-        slot.logical = mask_word(logical)
-        slot.data_cells = new_data
-        slot.tag_cells = new_tags
-        slot.encoded = encoded
-
-        total = data_cost.merged(tag_cost)
-        if total.cells_programmed:
-            waddr = self.word_addr(addr)
-            self.wear[waddr] = self.wear.get(waddr, 0) + total.cells_programmed
-        bits = encoded.total_bits
-        self.stats.add("word_writes")
-        self.stats.add("cells_programmed", total.cells_programmed)
-        self.stats.add("bits_written", bits)
-        self.stats.add("energy_pj", total.energy_pj)
-        return WriteCost(
-            cells_programmed=total.cells_programmed,
-            bits_written=bits,
-            latency_ns=total.latency_ns,
-            energy_pj=total.energy_pj,
-            silent=total.cells_programmed == 0,
-        )
+    def write_word(self, addr: int, encoded: EncodedWord, logical: int) -> WriteCost:
+        """Program one encoded word; returns the DCW cost."""
+        return self.write_words(addr, (encoded,), (logical,))
 
     def read_word(self, addr: int) -> StoredWord:
         """Return the stored state of a word slot (pristine if unwritten)."""
-        waddr = self.word_addr(addr)
-        return self._words.get(waddr, StoredWord.pristine())
+        slot = self._words.get(self.word_addr(addr))
+        return slot if slot is not None else StoredWord.pristine()
 
     def read_logical(self, addr: int) -> int:
-        return self.read_word(addr).logical
+        slot = self._words.get(addr & _ALIGN)
+        return 0 if slot is None else slot.logical
 
     def write_logical(self, addr: int, value: int) -> None:
         """Set a slot's logical value without cost accounting.
@@ -203,15 +233,13 @@ class NvmArray:
         setup image is pure data movement, so this is the hot path of
         :func:`repro.replay.replayer.apply_trace_setup`.
         """
-        align = ~(WORD_BYTES - 1)
+        align = _ALIGN
         if not self._words and self._journal is None:
             # Empty array (a freshly reset machine): build the slot map
             # in one comprehension.  Duplicate addresses keep the last
             # value, same as sequential writes.
             self._words = {
-                addr & align: StoredWord(
-                    value & WORD_MASK, _PRISTINE_DATA_CELLS, _PRISTINE_TAG_CELLS, None
-                )
+                addr & align: StoredWord(value & WORD_MASK, 0, 0, None)
                 for addr, value in zip(addrs, values)
             }
             return

@@ -5,12 +5,19 @@ the cells whose target level differs.  Programming a TLC cell to level L
 costs the Table III latency/energy for L; the cells of one write program in
 parallel, so write latency is the *maximum* per-cell latency while energy
 is the *sum*.
+
+Cell images are packed ints: cell *i* at bits 3i..3i+2 (see
+:func:`repro.encoding.expansion.pack_payload`).
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from repro.common.config import NVMConfig
+from repro.encoding.expansion import CELLS_PER_WORD, pack_levels
+
+# Bit 3i set for every cell i of a word slot (data cells and tag cells).
+_CELL_LOW_BITS = int("001" * CELLS_PER_WORD, 2)
 
 
 @dataclass(frozen=True)
@@ -21,19 +28,8 @@ class CellProgramCost:
     latency_ns: float
     energy_pj: float
 
-    def merged(self, other: "CellProgramCost") -> "CellProgramCost":
-        """Combine two groups programmed in parallel."""
-        return CellProgramCost(
-            cells_programmed=self.cells_programmed + other.cells_programmed,
-            latency_ns=max(self.latency_ns, other.latency_ns),
-            energy_pj=self.energy_pj + other.energy_pj,
-        )
 
-
-ZERO_COST = CellProgramCost(0, 0.0, 0.0)
-
-
-def _cost_tables(config: NVMConfig):
+def cost_tables(config: NVMConfig):
     """Per-level latency/energy lookup lists, cached on the config object."""
     tables = getattr(config, "_cost_tables_cache", None)
     if tables is None:
@@ -44,6 +40,33 @@ def _cost_tables(config: NVMConfig):
     return tables
 
 
+def dcw_cost(old: int, new: int, latency_table, energy_table) -> Tuple[int, float, float]:
+    """DCW cost of moving a word slot's packed cells ``old`` to ``new``.
+
+    Returns ``(cells_programmed, latency_ns, energy_pj)``.  XORs the two
+    images and charges only the changed cells, in ascending cell order,
+    so energy sums in the same floating-point order as a cell-by-cell
+    loop.  (The walk shifts past unchanged cells rather than jumping to
+    the next changed one: on a miss most cells change, and the shift is
+    the cheaper step.)
+    """
+    diff = old ^ new
+    changed = (diff | diff >> 1 | diff >> 2) & _CELL_LOW_BITS
+    programmed = bin(changed).count("1")
+    latency = 0.0
+    energy = 0.0
+    while changed:
+        if changed & 1:
+            level = new & 7
+            cell_latency = latency_table[level]
+            if cell_latency > latency:
+                latency = cell_latency
+            energy += energy_table[level]
+        changed >>= 3
+        new >>= 3
+    return programmed, latency, energy
+
+
 def program_cost(
     old_levels: Sequence[int],
     new_levels: Sequence[int],
@@ -51,23 +74,16 @@ def program_cost(
 ) -> CellProgramCost:
     """DCW cost of moving cells from ``old_levels`` to ``new_levels``.
 
-    The sequences must be equal length; a *silent* write (identical levels)
-    programs zero cells and costs nothing.
+    The sequences must be equal length, at most one word slot's
+    :data:`~repro.encoding.expansion.CELLS_PER_WORD` cells; a *silent*
+    write (identical levels) programs zero cells and costs nothing.
     """
     if len(old_levels) != len(new_levels):
         raise ValueError("old and new cell images differ in length")
-    if old_levels == new_levels:
-        return ZERO_COST
-    latency_table, energy_table = _cost_tables(config)
-    programmed = 0
-    latency = 0.0
-    energy = 0.0
-    for old, new in zip(old_levels, new_levels):
-        if old == new:
-            continue
-        programmed += 1
-        cell_latency = latency_table[new]
-        if cell_latency > latency:
-            latency = cell_latency
-        energy += energy_table[new]
-    return CellProgramCost(programmed, latency, energy)
+    if len(new_levels) > CELLS_PER_WORD:
+        raise ValueError("cell images wider than a word slot")
+    latency_table, energy_table = cost_tables(config)
+    return CellProgramCost(*dcw_cost(
+        pack_levels(old_levels), pack_levels(new_levels),
+        latency_table, energy_table,
+    ))

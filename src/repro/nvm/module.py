@@ -154,10 +154,7 @@ class NvmModule:
         now_ns: float,
         kind: WriteKind,
     ) -> WriteResult:
-        cost = WriteCost.zero()
-        for i, (enc, logical) in enumerate(zip(encoded, logicals)):
-            word_cost = self.array.write_word(addr + i * WORD_BYTES, enc, logical)
-            cost = cost.merged(word_cost)
+        cost = self.array.write_words(addr, encoded, logicals)
         if cost.silent:
             # Nothing was programmed: the request is elided entirely.
             schedule = WriteSchedule(accept_ns=now_ns, finish_ns=now_ns, stall_ns=0.0)

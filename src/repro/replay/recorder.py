@@ -128,20 +128,21 @@ def record_trace(
         ExperimentScale,
         MACRO_NAMES,
         default_config,
+        resolve_counts,
         resolve_params,
     )
     from repro.core.designs import make_system
     from repro.workloads.base import DatasetSize, make_workload
 
     dataset = dataset if dataset is not None else DatasetSize.SMALL
-    scale = scale or ExperimentScale()
+    n_transactions, n_threads = resolve_counts(
+        n_transactions, n_threads, scale or ExperimentScale(),
+        workload_name in MACRO_NAMES, dataset,
+    )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)
-    macro = workload_name in MACRO_NAMES
     system = make_system(design, config)
     workload = make_workload(workload_name, params)
-    n_transactions = n_transactions or scale.transactions(macro, dataset)
-    n_threads = n_threads or scale.threads(macro)
 
     recorder = TraceRecorder()
     system.recorder = recorder

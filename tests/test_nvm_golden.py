@@ -42,12 +42,6 @@ def _sha256(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _packed(cells) -> int:
-    if isinstance(cells, int):
-        return cells
-    return sum(level << (3 * i) for i, level in enumerate(cells))
-
-
 def canonical_image(array) -> list:
     """Every slot of an NVM array as a JSON-safe row, by address."""
     rows = []
@@ -57,8 +51,8 @@ def canonical_image(array) -> list:
             None if enc is None
             else [enc.method, enc.payload, enc.policy.name]
         )
-        rows.append([addr, slot.logical, _packed(slot.data_cells),
-                     _packed(slot.tag_cells), encoded])
+        rows.append([addr, slot.logical, slot.data_cells, slot.tag_cells,
+                     encoded])
     return rows
 
 

@@ -13,7 +13,9 @@ from repro.experiments.runner import (
     default_config,
     resolve_params,
     run_design,
+    run_design_system,
 )
+from repro.replay import record_trace
 from repro.workloads.base import DatasetSize, WorkloadParams
 
 
@@ -115,3 +117,17 @@ class TestRunDesignPlumbing:
     def test_default_params_reasonable(self):
         assert DEFAULT_PARAMS.initial_items > 0
         assert DEFAULT_PARAMS.key_space > DEFAULT_PARAMS.initial_items
+
+
+class TestExplicitZeroCountsRejected:
+    """Regression: run_design_system and record_trace coerced an explicit
+    ``n_transactions=0`` / ``n_threads=0`` through ``or`` to the scale
+    default (240 transactions) instead of rejecting it as resolve_cell
+    does."""
+
+    @pytest.mark.parametrize("entry", [run_design_system, record_trace])
+    @pytest.mark.parametrize("count", ["n_transactions", "n_threads"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_count_raises(self, entry, count, value):
+        with pytest.raises(ValueError, match=count):
+            entry("MorLog-SLDE", "hash", **{count: value})
