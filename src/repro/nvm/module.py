@@ -38,6 +38,17 @@ class WriteKind(enum.Enum):
     COMMIT = "commit"
 
 
+# Each kind's request, bit and energy counter names, keyed by the kind's
+# value (``kind.value`` runs Python-level enum code on every request).
+_KIND_COUNTERS = {
+    kind._value_: tuple(
+        "%s_%s" % (kind._value_, counter)
+        for counter in ("writes", "bits", "energy_pj")
+    )
+    for kind in WriteKind
+}
+
+
 @dataclass(frozen=True)
 class LogDataWord:
     """One word of log data handed to the module for encoding.
@@ -161,9 +172,10 @@ class NvmModule:
             self.stats.add("silent_requests")
         else:
             schedule = self.timing.write(addr, now_ns, cost.latency_ns)
-            self.stats.add("%s_writes" % kind.value)
-            self.stats.add("%s_bits" % kind.value, cost.bits_written)
-            self.stats.add("%s_energy_pj" % kind.value, cost.energy_pj)
+            writes, bits, energy = _KIND_COUNTERS[kind._value_]
+            self.stats.add(writes)
+            self.stats.add(bits, cost.bits_written)
+            self.stats.add(energy, cost.energy_pj)
         if self.tracer is not None:
             self.tracer.emit(
                 "nvm-write",

@@ -267,9 +267,3 @@ class TestWriteRequests:
                     reference.write_words(addr, encoded, logicals))
         assert_same_state(array, reference)
         assert len(array._dcw_memo) <= memo_entries
-
-    def test_read_word_does_not_allocate(self):
-        array = NvmArray(NVMConfig())
-        assert array.read_word(0x40).logical == 0
-        assert array.read_logical(0x48) == 0
-        assert len(array) == 0
