@@ -21,7 +21,7 @@ import enum
 from functools import lru_cache
 from typing import Sequence, Tuple
 
-from repro.common.bitops import WORD_BITS
+from repro.common.bitops import WORD_BITS, split_cells
 from repro.common.config import tlc_levels_sorted_by_latency
 
 CELLS_PER_WORD = (WORD_BITS + 2) // 3  # 22 TLC cells hold one 64-bit word
@@ -117,16 +117,6 @@ def pack_payload(payload: int, payload_bits: int, policy: ExpansionPolicy) -> Tu
     return cells & ((1 << width) - 1), n_cells
 
 
-def pack_levels(levels: Sequence[int]) -> int:
-    """Pack a sequence of TLC levels, cell *i* at bits 3i..3i+2."""
-    cells = 0
-    for i, level in enumerate(levels):
-        if not 0 <= level < 8:
-            raise ValueError("TLC level %r out of range" % (level,))
-        cells |= level << (3 * i)
-    return cells
-
-
 def map_bits_to_cells(payload: int, payload_bits: int, policy: ExpansionPolicy) -> Tuple[int, ...]:
     """Map a payload bitstream onto TLC cell levels under ``policy``.
 
@@ -136,7 +126,7 @@ def map_bits_to_cells(payload: int, payload_bits: int, policy: ExpansionPolicy) 
     if payload < 0 or (payload_bits and payload >> payload_bits):
         raise ValueError("payload wider than declared size")
     cells, n_cells = pack_payload(payload, payload_bits, policy)
-    return tuple((cells >> (3 * i)) & 7 for i in range(n_cells))
+    return tuple(split_cells(cells, 3 * n_cells, 3))
 
 
 def cells_to_bits(levels: Sequence[int], payload_bits: int, policy: ExpansionPolicy) -> int:

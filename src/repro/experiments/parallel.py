@@ -95,8 +95,6 @@ def resolve_cell(
     :func:`repro.experiments.runner.resolve_counts`).
     """
     from repro.experiments.runner import (
-        ExperimentScale,
-        MACRO_NAMES,
         _scale,
         default_config,
         resolve_counts,
@@ -104,8 +102,7 @@ def resolve_cell(
     )
 
     n_transactions, n_threads = resolve_counts(
-        n_transactions, n_threads, scale or ExperimentScale(),
-        workload in MACRO_NAMES, dataset,
+        workload, dataset, scale, n_transactions, n_threads
     )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)

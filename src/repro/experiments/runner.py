@@ -82,13 +82,13 @@ def resolve_params(
 
 
 def resolve_counts(
+    workload_name: str,
+    dataset: DatasetSize,
+    scale: Optional[ExperimentScale],
     n_transactions: Optional[int],
     n_threads: Optional[int],
-    scale: "ExperimentScale",
-    macro: bool,
-    dataset: DatasetSize,
 ) -> Tuple[int, int]:
-    """``(n_transactions, n_threads)``: explicit counts or the scale's.
+    """``(n_transactions, n_threads)`` of one cell: explicit or the scale's.
 
     ``None`` asks for the scale default.  An explicit count must be
     positive: zero is a caller error, not a request for the default (the
@@ -105,6 +105,8 @@ def resolve_counts(
             "n_threads must be positive, got %r (omit it or pass None for"
             " the scale default)" % (n_threads,)
         )
+    scale = scale or ExperimentScale()
+    macro = workload_name in MACRO_NAMES
     return (
         n_transactions if n_transactions is not None
         else scale.transactions(macro, dataset),
@@ -172,8 +174,7 @@ def run_design_system(
     memo counters (``system.controller.nvm.memo_stats()``).
     """
     n_transactions, n_threads = resolve_counts(
-        n_transactions, n_threads, scale or ExperimentScale(),
-        workload_name in MACRO_NAMES, dataset,
+        workload_name, dataset, scale, n_transactions, n_threads
     )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)

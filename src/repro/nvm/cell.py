@@ -13,8 +13,9 @@ Cell images are packed ints: cell *i* at bits 3i..3i+2 (see
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from repro.common.bitops import join_cells
 from repro.common.config import NVMConfig
-from repro.encoding.expansion import CELLS_PER_WORD, pack_levels
+from repro.encoding.expansion import CELLS_PER_WORD
 
 # Bit 3i set for every cell i of a word slot (data cells and tag cells).
 _CELL_LOW_BITS = int("001" * CELLS_PER_WORD, 2)
@@ -84,6 +85,6 @@ def program_cost(
         raise ValueError("cell images wider than a word slot")
     latency_table, energy_table = cost_tables(config)
     return CellProgramCost(*dcw_cost(
-        pack_levels(old_levels), pack_levels(new_levels),
+        join_cells(old_levels, 3), join_cells(new_levels, 3),
         latency_table, energy_table,
     ))

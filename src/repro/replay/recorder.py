@@ -125,8 +125,6 @@ def record_trace(
     run's RunResult is the one the direct path would have produced.
     """
     from repro.experiments.runner import (
-        ExperimentScale,
-        MACRO_NAMES,
         default_config,
         resolve_counts,
         resolve_params,
@@ -136,8 +134,7 @@ def record_trace(
 
     dataset = dataset if dataset is not None else DatasetSize.SMALL
     n_transactions, n_threads = resolve_counts(
-        n_transactions, n_threads, scale or ExperimentScale(),
-        workload_name in MACRO_NAMES, dataset,
+        workload_name, dataset, scale, n_transactions, n_threads
     )
     config = config if config is not None else default_config()
     params = resolve_params(params, dataset)
