@@ -157,7 +157,7 @@ class NvmArray:
             written += 1
             slot = words.get(waddr)
             if slot is None:
-                slot = words[waddr] = StoredWord(0, 0, 0, None)
+                slot = words[waddr] = StoredWord.pristine()
             old = slot.data_cells
             new, n_cells = pack_payload(enc.payload, enc.payload_bits, enc.policy)
             if n_cells < CELLS_PER_WORD:

@@ -207,7 +207,8 @@ class TestPayloadPacking:
     @pytest.mark.parametrize("policy", list(ExpansionPolicy))
     @pytest.mark.parametrize("bits", range(65))
     def test_every_width_matches_reference(self, policy, bits):
-        # All-ones, alternating and a sparse pattern cover every symbol.
+        # Fixed patterns at every width: all ones, alternating bits, sparse
+        # bits and zero.  The Hypothesis test below draws the rest.
         for payload in ((1 << bits) - 1, 0x5555_5555_5555_5555 & ((1 << bits) - 1),
                         0x8000_0001_0010_0100 & ((1 << bits) - 1), 0):
             expected = reference_levels(payload, bits, policy)
