@@ -61,11 +61,13 @@ def dirty_byte_mask(old: int, new: int) -> int:
     (section IV-A): one flag bit per byte of undo/redo data.
     """
     diff = (old ^ new) & WORD_MASK
-    mask = 0
-    for i in range(WORD_BYTES):
-        if diff & (0xFF << (8 * i)):
-            mask |= 1 << i
-    return mask
+    # Fold each byte onto its low bit, then gather the eight low bits
+    # into the top byte with one multiply: byte i's bit at 8i moves by
+    # 56 - 7i to bit 56 + i, and no two partial products overlap.
+    diff |= diff >> 4
+    diff |= diff >> 2
+    diff |= diff >> 1
+    return (diff & 0x0101_0101_0101_0101) * 0x0102_0408_1020_4080 >> 56 & 0xFF
 
 
 def dirty_byte_count(old: int, new: int) -> int:

@@ -15,7 +15,7 @@ from repro.common.bitops import WORD_BITS, mask_word
 from repro.encoding.expansion import ExpansionPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncodedWord:
     """The result of encoding one 64-bit word for an NVMM write.
 
@@ -59,7 +59,7 @@ class EncodedWord:
             raise ValueError("bit counts cannot be negative")
         if self.payload < 0:
             raise ValueError("payload must be unsigned")
-        if self.payload_bits and self.payload >> self.payload_bits:
+        if self.payload >> self.payload_bits:
             raise ValueError("payload wider than payload_bits")
 
 

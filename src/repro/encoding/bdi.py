@@ -26,10 +26,9 @@ tag   scheme                                 payload bits
 ====  =====================================  ============
 """
 
-from functools import lru_cache
 from typing import Optional
 
-from repro.common.bitops import WORD_BITS, mask_word
+from repro.common.bitops import WORD_BITS, WORD_MASK, mask_word
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.expansion import policy_for_size
 from repro.encoding.memo import MemoConfig
@@ -106,19 +105,6 @@ def bdi_decompress(tag: int, payload: int) -> int:
     raise ValueError("unknown BDI tag %d" % tag)
 
 
-@lru_cache(maxsize=1 << 16)
-def _bdi_encode_cached(word: int, expansion_enabled: bool) -> EncodedWord:
-    tag, payload, bits = bdi_compress(word)
-    return EncodedWord(
-        method="bdi",
-        payload=payload,
-        payload_bits=bits,
-        tag_bits=BDI_TAG_BITS,
-        tag_payload=tag,
-        policy=policy_for_size(bits, expansion_enabled),
-    )
-
-
 class BdiCodec(WordCodec):
     """BDI + expansion coding, as an alternative to CRADE in SLDE."""
 
@@ -133,14 +119,25 @@ class BdiCodec(WordCodec):
         self._expansion_enabled = expansion_enabled
         self._memo = memo.make_memo() if memo is not None else None
 
+    def _compute(self, word: int) -> EncodedWord:
+        tag, payload, bits = bdi_compress(word)
+        return EncodedWord(
+            self.name,
+            payload,
+            bits,
+            BDI_TAG_BITS,
+            policy_for_size(bits, self._expansion_enabled),
+            tag,
+        )
+
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
-        word = mask_word(word)
+        word &= WORD_MASK
         memo = self._memo
         if memo is None:
-            return _bdi_encode_cached(word, self._expansion_enabled)
+            return self._compute(word)
         encoded = memo.get(word)
         if encoded is None:
-            encoded = _bdi_encode_cached(word, self._expansion_enabled)
+            encoded = self._compute(word)
             memo.put(word, encoded)
         return encoded
 

@@ -7,60 +7,24 @@ best-performing incomplete data mapping according to the compression ratio
 :class:`ExpansionPolicy` whose cheap-level capacity fits the FPC output.
 """
 
-from functools import lru_cache
 from typing import Optional
 
-from repro.common.bitops import mask_word
-from repro.encoding.base import EncodedWord, WordCodec
-from repro.encoding.fpc import FPC_TAG_BITS, fpc_compress, fpc_decompress
-from repro.encoding.expansion import policy_for_size
+from repro.encoding.fpc import FPC_TAG_BITS, FpcCodec
 from repro.encoding.memo import MemoConfig
 
 
-@lru_cache(maxsize=1 << 16)
-def _crade_encode_cached(word: int, expansion_enabled: bool) -> EncodedWord:
-    prefix, payload, bits = fpc_compress(word)
-    policy = policy_for_size(bits, expansion_enabled)
-    # Sideband tags: the 3-bit FPC prefix plus a 2-bit expansion-policy
-    # tag so the read path knows how the cells were mapped (the paper's
-    # "encoding tag bit[s]" stored along with the data, section IV-B).
-    return EncodedWord(
-        method="crade",
-        payload=payload,
-        payload_bits=bits,
-        tag_bits=FPC_TAG_BITS + 2,
-        tag_payload=prefix,
-        policy=policy,
-    )
-
-
-class CradeCodec(WordCodec):
+class CradeCodec(FpcCodec):
     """FPC + compression-ratio-aware expansion coding."""
 
     name = "crade"
-    context_free = True
+    #: Sideband tags: the 3-bit FPC prefix plus a 2-bit expansion-policy
+    #: tag so the read path knows how the cells were mapped (the paper's
+    #: "encoding tag bit[s]" stored along with the data, section IV-B).
+    tag_bits = FPC_TAG_BITS + 2
 
     def __init__(
         self,
         expansion_enabled: bool = True,
         memo: Optional[MemoConfig] = None,
     ) -> None:
-        self._expansion_enabled = expansion_enabled
-        self._memo = memo.make_memo() if memo is not None else None
-
-    def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
-        word = mask_word(word)
-        memo = self._memo
-        if memo is None:
-            return _crade_encode_cached(word, self._expansion_enabled)
-        encoded = memo.get(word)
-        if encoded is None:
-            encoded = _crade_encode_cached(word, self._expansion_enabled)
-            memo.put(word, encoded)
-        return encoded
-
-    def decode(self, encoded: EncodedWord, old_word: Optional[int] = None) -> int:
-        if encoded.method != self.name:
-            raise ValueError("not a CRADE encoding: %r" % encoded.method)
-        prefix = encoded.tag_payload & ((1 << FPC_TAG_BITS) - 1)
-        return fpc_decompress(prefix, encoded.payload)
+        super().__init__(expansion_enabled, memo)

@@ -35,7 +35,6 @@ from repro.encoding.memo import (
     BYTE_FITS_SE4,
     BYTE_LOW_NIBBLE_ZERO,
     DLDC_PATTERN_BITS,
-    MemoConfig,
 )
 
 DLDC_TAG_BITS = 3
@@ -193,9 +192,6 @@ class DldcCodec(WordCodec):
     name = "dldc"
     DIRTY_FLAG_BITS = WORD_BYTES  # one flag bit per log data byte
 
-    def __init__(self, memo: Optional[MemoConfig] = None) -> None:
-        self._memo = memo.make_memo() if memo is not None else None
-
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
         raise TypeError(
             "DLDC compresses only log data; use encode_log with a dirty mask"
@@ -209,15 +205,7 @@ class DldcCodec(WordCodec):
         if dirty_mask == 0:
             # Silent log write: all bytes clean, nothing reaches NVMM.
             return _SILENT_LOG_WRITE
-        memo = self._memo
-        if memo is None:
-            return self._encode_dirty(word, dirty_mask)
-        key = (word, dirty_mask)
-        encoded = memo.get(key)
-        if encoded is None:
-            encoded = self._encode_dirty(word, dirty_mask)
-            memo.put(key, encoded)
-        return encoded
+        return self._encode_dirty(word, dirty_mask)
 
     def _encode_dirty(self, word: int, dirty_mask: int) -> EncodedWord:
         dirty = select_bytes(word, dirty_mask)

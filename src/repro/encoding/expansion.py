@@ -123,7 +123,7 @@ def map_bits_to_cells(payload: int, payload_bits: int, policy: ExpansionPolicy) 
     Returns the levels for the cells actually used, one per cell; the
     tuple form of :func:`pack_payload`.
     """
-    if payload < 0 or (payload_bits and payload >> payload_bits):
+    if payload < 0 or payload >> payload_bits:
         raise ValueError("payload wider than declared size")
     cells, n_cells = pack_payload(payload, payload_bits, policy)
     return tuple(split_cells(cells, 3 * n_cells, 3))

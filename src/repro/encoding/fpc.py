@@ -9,18 +9,11 @@ upper half, repeated bytes), with prefix 0b111 reserved for uncompressed
 words.
 """
 
-from functools import lru_cache
 from typing import Optional
 
-from repro.common.bitops import (
-    WORD_BITS,
-    fits_signed,
-    mask_word,
-    sign_extend,
-    word_bytes,
-)
+from repro.common.bitops import WORD_BITS, WORD_MASK, mask_word, sign_extend
 from repro.encoding.base import EncodedWord, WordCodec
-from repro.encoding.expansion import ExpansionPolicy, policy_for_size
+from repro.encoding.expansion import policy_for_size
 from repro.encoding.memo import FPC_SMALL_WORD_PREFIX, MemoConfig
 
 FPC_TAG_BITS = 3
@@ -37,48 +30,59 @@ FPC_PATTERNS = {
     0b111: ("uncompressed", WORD_BITS),
 }
 
+#: prefix -> payload bits (parallel to FPC_PATTERNS).
+FPC_PREFIX_PAYLOAD_BITS = tuple(FPC_PATTERNS[prefix][1] for prefix in range(8))
+
+# prefix -> (shift, mask): a classified word's payload is its low bits,
+# or its high half for the zero-low-half pattern.
+_PAYLOAD_FIELDS = tuple(
+    (32 if prefix == 0b101 else 0, (1 << bits) - 1)
+    for prefix, bits in enumerate(FPC_PREFIX_PAYLOAD_BITS)
+)
+
+# A word repeats one byte iff it equals that byte times this.
+_BYTE_LANES = 0x0101_0101_0101_0101
+
 
 def fpc_match(word: int) -> int:
-    """Return the FPC prefix for the smallest pattern matching ``word``."""
-    word = mask_word(word)
+    """Return the FPC prefix for the smallest pattern matching ``word``.
+
+    The patterns are tested in priority order by arithmetic, as
+    :func:`repro.encoding.vector.vec_fpc_prefix` tests them over arrays:
+    a word fits *n* signed bits iff ``(word + 2**(n-1)) & WORD_MASK`` is
+    below ``2**n``.
+    """
+    word &= WORD_MASK
     if word < 256:
         # Small words dominate log metadata and workload values; their
         # prefix class is a table lookup (repro.encoding.memo).
         return FPC_SMALL_WORD_PREFIX[word]
-    if word == 0:
-        return 0b000
-    if fits_signed(word, 4):
+    if (word + 0x8) & WORD_MASK < 0x10:
         return 0b001
-    byte_list = word_bytes(word)
-    if all(b == byte_list[0] for b in byte_list):
+    if word == (word & 0xFF) * _BYTE_LANES:
         return 0b110
-    if fits_signed(word, 8):
+    if (word + 0x80) & WORD_MASK < 0x100:
         return 0b010
-    if fits_signed(word, 16):
+    if (word + 0x8000) & WORD_MASK < 0x1_0000:
         return 0b011
-    if fits_signed(word, 32):
+    if (word + 0x8000_0000) & WORD_MASK < 0x1_0000_0000:
         return 0b100
     if word & 0xFFFF_FFFF == 0:
         return 0b101
     return 0b111
 
 
+def fpc_payload(word: int, prefix: int) -> int:
+    """The payload of a 64-bit ``word`` that :func:`fpc_match` classed as ``prefix``."""
+    shift, mask = _PAYLOAD_FIELDS[prefix]
+    return word >> shift & mask
+
+
 def fpc_compress(word: int) -> "tuple[int, int, int]":
     """Compress a word; returns (prefix, payload, payload_bits)."""
-    word = mask_word(word)
+    word &= WORD_MASK
     prefix = fpc_match(word)
-    _name, bits = FPC_PATTERNS[prefix]
-    if prefix == 0b000:
-        payload = 0
-    elif prefix in (0b001, 0b010, 0b011, 0b100):
-        payload = word & ((1 << bits) - 1)
-    elif prefix == 0b101:
-        payload = word >> 32
-    elif prefix == 0b110:
-        payload = word & 0xFF
-    else:
-        payload = word
-    return prefix, payload, bits
+    return prefix, fpc_payload(word, prefix), FPC_PREFIX_PAYLOAD_BITS[prefix]
 
 
 def fpc_decompress(prefix: int, payload: int) -> int:
@@ -97,20 +101,6 @@ def fpc_decompress(prefix: int, payload: int) -> int:
     return mask_word(payload)
 
 
-@lru_cache(maxsize=1 << 16)
-def _fpc_encode_cached(word: int, expansion_enabled: bool) -> EncodedWord:
-    prefix, payload, bits = fpc_compress(word)
-    policy = policy_for_size(bits, expansion_enabled)
-    return EncodedWord(
-        method="fpc",
-        payload=payload,
-        payload_bits=bits,
-        tag_bits=FPC_TAG_BITS,
-        tag_payload=prefix,
-        policy=policy,
-    )
-
-
 class FpcCodec(WordCodec):
     """FPC as a standalone word codec.
 
@@ -122,6 +112,8 @@ class FpcCodec(WordCodec):
 
     name = "fpc"
     context_free = True
+    #: Sideband tag bits of every encoding: the 3-bit prefix.
+    tag_bits = FPC_TAG_BITS
 
     def __init__(
         self,
@@ -130,23 +122,45 @@ class FpcCodec(WordCodec):
     ) -> None:
         self._expansion_enabled = expansion_enabled
         self._memo = memo.make_memo() if memo is not None else None
+        # prefix -> the cell mapping of its payload size.
+        self._policies = tuple(
+            policy_for_size(bits, expansion_enabled)
+            for bits in FPC_PREFIX_PAYLOAD_BITS
+        )
+
+    def encode_classified(self, word: int, prefix: int) -> EncodedWord:
+        """Encode a 64-bit ``word`` whose FPC prefix is already known.
+
+        The compute step of :meth:`encode`; the replay prewarm calls it
+        with prefixes from :func:`~repro.encoding.vector.vec_fpc_prefix`.
+        """
+        # The prefix lives in the per-word tag cells (CompEx stores
+        # compression tags in a separate tag array); the payload alone
+        # maps onto the 22 data cells.
+        return EncodedWord(
+            self.name,
+            fpc_payload(word, prefix),
+            FPC_PREFIX_PAYLOAD_BITS[prefix],
+            self.tag_bits,
+            self._policies[prefix],
+            prefix,
+        )
 
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
-        # The 3-bit prefix lives in the per-word tag cells (CompEx stores
-        # compression tags in a separate tag array); the payload alone maps
-        # onto the 22 data cells.
-        word = mask_word(word)
+        word &= WORD_MASK
         memo = self._memo
         if memo is None:
-            return _fpc_encode_cached(word, self._expansion_enabled)
+            return self.encode_classified(word, fpc_match(word))
         encoded = memo.get(word)
         if encoded is None:
-            encoded = _fpc_encode_cached(word, self._expansion_enabled)
+            encoded = self.encode_classified(word, fpc_match(word))
             memo.put(word, encoded)
         return encoded
 
     def decode(self, encoded: EncodedWord, old_word: Optional[int] = None) -> int:
         if encoded.method != self.name:
-            raise ValueError("not an FPC encoding: %r" % encoded.method)
+            raise ValueError(
+                "%s codec cannot decode a %r encoding" % (self.name, encoded.method)
+            )
         prefix = encoded.tag_payload & ((1 << FPC_TAG_BITS) - 1)
         return fpc_decompress(prefix, encoded.payload)

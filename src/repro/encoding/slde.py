@@ -20,7 +20,7 @@ from repro.encoding.memo import MemoConfig
 ENCODING_TYPE_FLAG_BITS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogWriteContext:
     """Everything SLDE knows about one word of log data.
 
@@ -53,7 +53,9 @@ class SldeCodec(WordCodec):
         if alternative is None:
             alternative = CradeCodec(expansion_enabled=expansion_enabled, memo=memo)
         self._alternative = alternative
-        self._dldc = DldcCodec(memo=memo)
+        # DLDC keeps no memo: it is reached only through the decision
+        # memos below, whose keys cover its (word, dirty_mask) inputs.
+        self._dldc = DldcCodec()
         self._expansion_enabled = expansion_enabled
         # SLDE delegates non-log encodes to the alternative, so its
         # context-freeness is the alternative's.
@@ -84,12 +86,8 @@ class SldeCodec(WordCodec):
             stats["log"] = self._log_memo.stats()
         if self._pair_memo is not None:
             stats["pair"] = self._pair_memo.stats()
-        for prefix, codec in (
-            ("alternative", self._alternative),
-            ("dldc", self._dldc),
-        ):
-            for name, counters in codec.memo_stats().items():
-                stats["%s.%s" % (prefix, name)] = counters
+        for name, counters in self._alternative.memo_stats().items():
+            stats["alternative.%s" % name] = counters
         return dict(sorted(stats.items()))
 
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:

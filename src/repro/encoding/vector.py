@@ -43,6 +43,7 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
     np = None
     HAVE_NUMPY = False
 
+from repro.encoding.fpc import FPC_PREFIX_PAYLOAD_BITS
 from repro.encoding.memo import (
     BYTE_FITS_SE2,
     BYTE_FITS_SE4,
@@ -117,9 +118,6 @@ def _vec_fits_signed(w: "np.ndarray", bits: int) -> "np.ndarray":
     fill = np.uint64(((1 << (64 - bits)) - 1) << bits)
     return (low | (sign * fill)) == w
 
-
-#: FPC prefix -> payload bits (parallel to fpc.FPC_PATTERNS).
-FPC_PREFIX_PAYLOAD_BITS = (0, 4, 8, 16, 32, 32, 8, 64)
 
 _FPC_SMALL = None
 

@@ -22,7 +22,7 @@ from repro.common.stats import StatGroup
 from repro.logging_hw.entries import EntryType, LogEntry
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferedEntry:
     """A log entry while it lives in a volatile buffer."""
 

@@ -21,6 +21,10 @@ from typing import List, Optional, Tuple
 from repro.common.bitops import WORD_BYTES, mask_word
 
 
+# Data words per entry type, indexed by the type's value.
+_N_DATA_WORDS = (2, 1, 0, 1)
+
+
 class EntryType(enum.Enum):
     UNDO_REDO = 0
     REDO = 1
@@ -29,17 +33,12 @@ class EntryType(enum.Enum):
 
     @property
     def n_data_words(self) -> int:
-        return {
-            EntryType.UNDO_REDO: 2,
-            EntryType.REDO: 1,
-            EntryType.COMMIT: 0,
-            EntryType.UNDO: 1,
-        }[self]
+        return _N_DATA_WORDS[self._value_]
 
     @property
     def n_slots(self) -> int:
         """Total 64-bit log-region slots the entry occupies."""
-        return 2 + self.n_data_words
+        return 2 + _N_DATA_WORDS[self._value_]
 
 
 _TYPE_BITS = 2
@@ -52,7 +51,7 @@ _ADDR_BITS = 48
 _MASK_BITS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     """One undo+redo or redo log entry."""
 
@@ -80,7 +79,7 @@ class LogEntry:
         return (self.tid, self.txid, self.addr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     """Transaction commit record.
 

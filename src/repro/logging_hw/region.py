@@ -35,7 +35,7 @@ CONTROL_SLOTS = WORDS_PER_LINE
 MAX_ENTRY_SLOTS = EntryType.UNDO_REDO.n_slots
 
 
-@dataclass
+@dataclass(slots=True)
 class LiveEntry:
     """Volatile index of one entry, used for truncation decisions."""
 

@@ -62,7 +62,7 @@ class StoredWord:
         return StoredWord(0, 0, 0, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteCost:
     """Accounting result of one word write or write request."""
 

@@ -49,7 +49,7 @@ _KIND_COUNTERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogDataWord:
     """One word of log data handed to the module for encoding.
 
@@ -62,7 +62,7 @@ class LogDataWord:
     context: Optional[LogWriteContext] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteResult:
     """Outcome of one write request."""
 

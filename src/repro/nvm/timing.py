@@ -24,7 +24,7 @@ from repro.common.config import NVMConfig
 from repro.common.stats import StatGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WriteSchedule:
     """Outcome of posting one write."""
 

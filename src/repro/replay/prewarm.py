@@ -22,7 +22,6 @@ from typing import Dict
 
 from repro.common.bitops import select_bytes
 from repro.encoding.base import EncodedWord
-from repro.encoding.crade import CradeCodec
 from repro.encoding.dldc import (
     DLDC_HEADER_BITS,
     DLDC_TAG_BITS,
@@ -32,10 +31,9 @@ from repro.encoding.dldc import (
     _value_of,
 )
 from repro.encoding.expansion import policy_for_size
-from repro.encoding.fpc import FPC_TAG_BITS, FpcCodec
+from repro.encoding.fpc import FpcCodec
 from repro.encoding.slde import ENCODING_TYPE_FLAG_BITS, SldeCodec
 from repro.encoding.vector import (
-    FPC_PREFIX_PAYLOAD_BITS,
     HAVE_NUMPY,
     vec_dirty_byte_mask,
     vec_dldc_stream_bits,
@@ -47,33 +45,6 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     np = None
-
-
-def _fpc_payload(word: int, prefix: int, bits: int) -> int:
-    # Payload assembly for one classified word (mirrors fpc_compress).
-    if prefix == 0b000:
-        return 0
-    if prefix in (0b001, 0b010, 0b011, 0b100):
-        return word & ((1 << bits) - 1)
-    if prefix == 0b101:
-        return word >> 32
-    if prefix == 0b110:
-        return word & 0xFF
-    return word
-
-
-def _fpc_family_encoded(
-    word: int, prefix: int, method: str, tag_bits: int, expansion_enabled: bool
-) -> EncodedWord:
-    bits = FPC_PREFIX_PAYLOAD_BITS[prefix]
-    return EncodedWord(
-        method=method,
-        payload=_fpc_payload(word, prefix, bits),
-        payload_bits=bits,
-        tag_bits=tag_bits,
-        tag_payload=prefix,
-        policy=policy_for_size(bits, expansion_enabled),
-    )
 
 
 def _dldc_encoded(word: int, mask: int, tag: int, stream_bits: int) -> EncodedWord:
@@ -103,54 +74,46 @@ def _dldc_encoded(word: int, mask: int, tag: int, stream_bits: int) -> EncodedWo
 def _warm_context_free(codec, unique_words) -> int:
     """Seed a CRADE/FPC word memo from batch-classified prefixes."""
     memo = getattr(codec, "_memo", None)
-    if memo is None or unique_words.size == 0:
+    if memo is None or unique_words.size == 0 or not isinstance(codec, FpcCodec):
         return 0
-    if isinstance(codec, CradeCodec):
-        method, tag_bits = "crade", FPC_TAG_BITS + 2
-    elif isinstance(codec, FpcCodec):
-        method, tag_bits = "fpc", FPC_TAG_BITS
-    else:
-        return 0
-    expansion = codec._expansion_enabled
     prefixes = vec_fpc_prefix(unique_words)
     seeded = 0
     for word, prefix in zip(unique_words.tolist(), prefixes.tolist()):
-        memo.put(word, _fpc_family_encoded(word, prefix, method, tag_bits, expansion))
+        memo.put(word, codec.encode_classified(word, prefix))
         seeded += 1
     return seeded
 
 
 def _warm_slde(slde: SldeCodec, words, masks) -> Dict[str, int]:
-    """Seed SLDE's per-word decision memo (and DLDC's result memo).
+    """Seed SLDE's per-word decision memo (and its alternative's memo).
 
     ``words``/``masks`` are the unique (log word, dirty mask) rows of the
     trace, both sides of every pair.  Only the context-free-alternative
     configuration is prewarmable — the memo key drops the old word then —
-    and only CRADE alternatives have a vectorized classifier; anything
-    else falls back to scalar encoding at replay time.
+    and only FPC-family (CRADE) alternatives have a vectorized
+    classifier; anything else falls back to scalar encoding at replay
+    time.
     """
-    counts = {"slde_seeded": 0, "dldc_seeded": 0}
+    counts = {"slde_seeded": 0}
     log_memo = slde._log_memo
     alternative = slde.alternative
     if (
         log_memo is None
         or not alternative.context_free
-        or not isinstance(alternative, CradeCodec)
+        or not isinstance(alternative, FpcCodec)
         or words.size == 0
     ):
         return counts
 
-    expansion = alternative._expansion_enabled
     prefixes = vec_fpc_prefix(words)
     tags, stream_bits, _compressed = vec_dldc_stream_bits(words, masks)
-    dldc_memo = slde.dldc._memo
     alt_memo = alternative._memo
 
     for word, mask, prefix, tag, bits in zip(
         words.tolist(), masks.tolist(), prefixes.tolist(),
         tags.tolist(), stream_bits.tolist(),
     ):
-        alt = _fpc_family_encoded(word, prefix, "crade", FPC_TAG_BITS + 2, expansion)
+        alt = alternative.encode_classified(word, prefix)
         if alt_memo is not None:
             alt_memo.put(word, alt)
         if mask == 0:
@@ -159,9 +122,6 @@ def _warm_slde(slde: SldeCodec, words, masks) -> Dict[str, int]:
             value = (dldc, hook, alt)
         else:
             dldc = _dldc_encoded(word, mask, tag, bits)
-            if dldc_memo is not None:
-                dldc_memo.put((word, mask), dldc)
-                counts["dldc_seeded"] += 1
             alt_cost = alt.total_bits + ENCODING_TYPE_FLAG_BITS
             dldc_cost = dldc.total_bits + ENCODING_TYPE_FLAG_BITS
             chosen = dldc if dldc_cost < alt_cost else alt
@@ -193,7 +153,6 @@ def prewarm_codecs(system, trace: StoreTrace) -> Dict[str, int]:
         "unique_log_rows": 0,
         "unique_words": 0,
         "slde_seeded": 0,
-        "dldc_seeded": 0,
         "data_seeded": 0,
         "log_seeded": 0,
     }

@@ -36,7 +36,7 @@ from repro.encoding.vector import (
     vec_fpc_prefix,
     vec_flipnwrite_flip,
 )
-from repro.replay.prewarm import _dldc_encoded, _fpc_family_encoded, _warm_slde
+from repro.replay.prewarm import _dldc_encoded, _warm_slde
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="replay needs numpy")
 
@@ -196,10 +196,10 @@ class TestPrewarmBuilders:
         prefixes = vec_fpc_prefix(u64(values)).tolist()
         for w, prefix in zip(values, prefixes):
             w = mask_word(w)
-            built = _fpc_family_encoded(w, prefix, "crade", 5, True)
+            built = crade.encode_classified(w, prefix)
             assert built == crade.encode(w)
             assert crade.decode(built) == w
-            built = _fpc_family_encoded(w, prefix, "fpc", 3, False)
+            built = fpc.encode_classified(w, prefix)
             assert built == FpcCodec(expansion_enabled=False).encode(w)
             assert fpc_decompress(built.tag_payload, built.payload) == w
             assert fpc.decode(fpc.encode(w)) == w
@@ -317,9 +317,9 @@ class TestPrewarmedSlde:
         # No memo: nothing to seed.
         plain = SldeCodec()
         counts = _warm_slde(plain, u64([1]), np.array([1], dtype=np.uint8))
-        assert counts == {"slde_seeded": 0, "dldc_seeded": 0}
+        assert counts == {"slde_seeded": 0}
         # Context-sensitive alternative: the memo key needs the old word,
         # which the prewarm cannot predict.
         fnw = SldeCodec(alternative=FlipNWriteCodec(), memo=SMALL_MEMO)
         counts = _warm_slde(fnw, u64([1]), np.array([1], dtype=np.uint8))
-        assert counts == {"slde_seeded": 0, "dldc_seeded": 0}
+        assert counts == {"slde_seeded": 0}
