@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.experiments.cache import ResultCache, default_cache_dir
-from repro.experiments.parallel import default_jobs, run_grid_parallel
+from repro.experiments.parallel import resolve_jobs, run_grid_parallel
 from repro.experiments.runner import ExperimentScale
 from repro.experiments import figures
 from repro.workloads.base import DatasetSize
@@ -55,8 +55,9 @@ def pytest_addoption(parser):
 def grid_jobs(request) -> int:
     jobs = request.config.getoption("--jobs")
     if jobs is None:
-        jobs = int(os.environ.get("REPRO_JOBS", "0")) or default_jobs()
-    return jobs
+        env = os.environ.get("REPRO_JOBS")
+        jobs = int(env) if env else None
+    return resolve_jobs(jobs)
 
 
 @pytest.fixture(scope="session")

@@ -569,8 +569,14 @@ def _cmd_run(args) -> None:
 def _cmd_grid(args) -> int:
     from repro.experiments.cache import ResultCache, default_cache_dir
     from repro.experiments.megagrid import run_megagrid
-    from repro.experiments.parallel import default_jobs, resolve_cell
+    from repro.experiments.parallel import resolve_cell, resolve_jobs
 
+    try:
+        jobs = resolve_jobs(args.jobs)
+        shards = None if args.shards is None else resolve_jobs(args.shards, "shards")
+    except ValueError as error:
+        print("grid: %s" % error)
+        return 2
     resume = args.resume is not None
     specs = None
     if not resume:
@@ -610,7 +616,6 @@ def _cmd_grid(args) -> int:
     cache = None
     if not args.no_cache:
         cache = ResultCache(cache_dir=args.cache_dir or default_cache_dir())
-    jobs = args.jobs or default_jobs()
     manifest_path = args.resume if resume else args.manifest
     try:
         outcome = run_megagrid(
@@ -622,7 +627,7 @@ def _cmd_grid(args) -> int:
             retries=args.retries,
             timeout_s=args.cell_timeout,
             fail_soft=not args.fail_fast,
-            shards=args.shards,
+            shards=shards,
             trace_dir=args.trace_dir,
             interrupt_after=args.interrupt_after,
         )
@@ -1178,6 +1183,7 @@ def _cmd_traffic(args) -> int:
         slo_table,
         sweep_records,
     )
+    from repro.experiments.parallel import resolve_jobs
     from repro.workloads.mixture import parse_blend
 
     if args.designs == "all":
@@ -1205,6 +1211,7 @@ def _cmd_traffic(args) -> int:
             seed=args.seed,
         )
         traffic.validate()
+        jobs = resolve_jobs(args.jobs)
     except ValueError as error:
         print("traffic: %s" % error)
         return 2
@@ -1216,7 +1223,7 @@ def _cmd_traffic(args) -> int:
     if not args.no_cache:
         cache = PayloadCache(cache_dir=args.cache_dir or default_cache_dir())
     outcome = run_load_sweep(
-        designs, loads, traffic, jobs=args.jobs, cache=cache)
+        designs, loads, traffic, jobs=jobs, cache=cache)
     table = slo_table(outcome)
     print(table)
     if args.out is not None:

@@ -6,7 +6,6 @@ paper's Figure 3 (write distance: First / 0-1 / 2-3 / ... / >=128).
 """
 
 import math
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -23,7 +22,7 @@ class StatGroup:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._counters: "OrderedDict[str, float]" = OrderedDict()
+        self._counters: Dict[str, float] = {}
 
     def add(self, key: str, amount: float = 1.0) -> None:
         self._counters[key] = self._counters.get(key, 0.0) + amount
@@ -91,15 +90,15 @@ class Histogram:
     def total(self) -> int:
         return self._total
 
-    def counts(self) -> "OrderedDict[str, int]":
-        out: "OrderedDict[str, int]" = OrderedDict()
+    def counts(self) -> Dict[str, int]:
+        out: Dict[str, int] = {}
         for (_lo, _hi, label), count in zip(self._buckets, self._counts):
             out[label] = count
         return out
 
-    def proportions(self) -> "OrderedDict[str, float]":
+    def proportions(self) -> Dict[str, float]:
         total = self._total or 1
-        out: "OrderedDict[str, float]" = OrderedDict()
+        out: Dict[str, float] = {}
         for label, count in self.counts().items():
             out[label] = count / total
         return out

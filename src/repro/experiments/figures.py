@@ -281,7 +281,7 @@ def fig14_macro_throughput(
         for workload, dataset, _label in MACRO_CELLS
         for design in designs
     ]
-    flat, _report = run_cells(specs, jobs=jobs or 1, cache=cache)
+    flat, _report = run_cells(specs, jobs=1 if jobs is None else jobs, cache=cache)
     values: "OrderedDict[str, OrderedDict[str, float]]" = OrderedDict()
     index = 0
     for _workload, _dataset, label in MACRO_CELLS:

@@ -81,7 +81,7 @@ def headline_comparison(
         for workload, dataset in cells
         for name in (baseline, design)
     ]
-    flat, _report = run_cells(specs, jobs=jobs or 1, cache=cache)
+    flat, _report = run_cells(specs, jobs=1 if jobs is None else jobs, cache=cache)
     throughput_ratios = []
     traffic_ratios = []
     energy_ratios = []

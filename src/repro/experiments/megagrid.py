@@ -52,7 +52,7 @@ from repro.experiments.parallel import (
     _payload,
     _run_cell_payload,
     _trace_path,
-    default_jobs,
+    resolve_jobs,
 )
 from repro.experiments.serialize import run_result_from_dict
 
@@ -437,7 +437,8 @@ def run_megagrid(
     ``on_cell(key, spec, result)`` fires per simulated cell, in
     completion order, after the cache write — the live-observatory seam.
     """
-    jobs = jobs or default_jobs()
+    jobs = resolve_jobs(jobs)
+    shards = jobs if shards is None else resolve_jobs(shards, "shards")
     manifest: Optional[ShardManifest] = None
     if resume:
         if manifest_path is None:
@@ -450,7 +451,7 @@ def run_megagrid(
         specs = list(specs)
         if manifest_path is not None:
             manifest = build_manifest(
-                specs, shards=shards or jobs, meta=meta)
+                specs, shards=shards, meta=meta)
             write_manifest(manifest_path, manifest)
     if not specs:
         return MegaGridOutcome(

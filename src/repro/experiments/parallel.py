@@ -39,6 +39,24 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def resolve_jobs(jobs: Optional[int], name: str = "jobs") -> int:
+    """A worker (or shard) count: explicit, or ``None`` for all CPU cores.
+
+    An explicit count must be a positive int.  Zero or a negative count
+    is a caller error, not a request for the default (the ``or``-coercion
+    family of bugs; :func:`repro.experiments.runner.resolve_counts`
+    rejects bad transaction and thread counts the same way).
+    """
+    if jobs is None:
+        return default_jobs()
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs <= 0:
+        raise ValueError(
+            "%s must be a positive int, got %r (omit it or pass None for"
+            " all CPU cores)" % (name, jobs)
+        )
+    return jobs
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """One fully-resolved grid cell: everything a worker needs, as data.

@@ -7,20 +7,26 @@ maps the payload onto cell levels, and programs data and tag cells under
 DCW; cells beyond the encoded payload keep their old levels — that is where
 expansion coding and DLDC save writes.
 
-A slot's cells are packed ints, 3 bits per cell with cell *i* at bits
-3i..3i+2: the data cells as :func:`~repro.encoding.expansion.pack_payload`
-lays them out, the tag cells as the 21-bit tag value itself.
-
-The array also keeps the *logical* value of every word so recovery and
-tests can check decode(read(addr)) against ground truth, and supports
-snapshot/restore for crash-injection testing.
+Slot state lives in maps keyed by word address, not in one object per
+slot.  ``_logical`` holds the *logical* value of every slot that exists
+(so recovery and tests can check decode(read(addr)) against ground
+truth); ``_cells`` holds one int per slot that has ever programmed a
+cell: the data cells at bits 0-65, packed 3 bits per cell with cell *i*
+at bits 3i..3i+2 as :func:`~repro.encoding.expansion.pack_payload` lays
+them out, the tag cells at bits 66-86 as the 21-bit tag value itself,
+and the slot's cumulative programmed-cell count (wear) from bit 87;
+``_encoded`` holds the last encoding written to each slot.  Both int
+maps hold nothing but ints, so the cyclic garbage collector never
+tracks them.  :class:`StoredWord` is only the detached view that
+:meth:`NvmArray.read_word` and :meth:`NvmArray.snapshot` build.  The
+array supports snapshot/restore for crash-injection testing.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.common.bitops import WORD_BYTES, WORD_MASK, align_down, mask_word
+from repro.common.bitops import WORD_BYTES, WORD_MASK, align_down
 from repro.common.config import NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
@@ -47,19 +53,25 @@ _POLICY_IDS = {
 }
 _ALIGN = ~(WORD_BYTES - 1)
 
+# Bit layout of a slot's ``NvmArray._cells`` entry: data cells, then tag
+# cells, then wear.
+_TAG_SHIFT = 3 * CELLS_PER_WORD
+_WEAR_SHIFT = _TAG_SHIFT + 3 * TAG_CELLS
+_DATA_MASK = (1 << _TAG_SHIFT) - 1
+_TAG_MASK = (1 << 3 * TAG_CELLS) - 1
+
 
 @dataclass(slots=True)
 class StoredWord:
-    """Physical state of one word slot (cells packed 3 bits per cell)."""
+    """View of one word slot's state (cells packed 3 bits per cell).
+
+    Built fresh by each read: assigning to it leaves the array as it was.
+    """
 
     logical: int
     data_cells: int
     tag_cells: int
     encoded: Optional[EncodedWord]
-
-    @staticmethod
-    def pristine() -> "StoredWord":
-        return StoredWord(0, 0, 0, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +102,14 @@ class NvmArray:
 
     def __init__(self, config: NVMConfig, stats: Optional[StatGroup] = None) -> None:
         self._config = config
-        self._words: Dict[int, StoredWord] = {}
+        # A key here is what "the slot exists" means; insertion order is
+        # slot-creation order.
+        self._logical: Dict[int, int] = {}
+        # Data cells | tag cells << _TAG_SHIFT | wear << _WEAR_SHIFT, for
+        # each slot that has programmed a cell (absent: pristine, no wear).
+        self._cells: Dict[int, int] = {}
+        self._encoded: Dict[int, EncodedWord] = {}
         self.stats = stats if stats is not None else StatGroup("nvm_array")
-        # Per-word cumulative programmed-cell counts (endurance, §VI-C).
-        self.wear: Dict[int, int] = {}
         # Active logical-write journal (crash-injection recovery probes).
         self._journal: Optional[Dict[int, Optional[int]]] = None
         self._cost_tables = cost_tables(config)
@@ -103,13 +119,10 @@ class NvmArray:
     def word_addr(addr: int) -> int:
         return align_down(addr, WORD_BYTES)
 
-    def _slot(self, addr: int) -> StoredWord:
-        waddr = self.word_addr(addr)
-        slot = self._words.get(waddr)
-        if slot is None:
-            slot = StoredWord.pristine()
-            self._words[waddr] = slot
-        return slot
+    @property
+    def wear(self) -> Dict[int, int]:
+        """Per-word cumulative programmed-cell counts (endurance, §VI-C)."""
+        return {addr: state >> _WEAR_SHIFT for addr, state in self._cells.items()}
 
     def _cost_miss(self, key: Tuple[int, int]) -> Tuple[int, float, float]:
         """:func:`~repro.nvm.cell.dcw_cost` of ``key``, memoized."""
@@ -136,8 +149,10 @@ class NvmArray:
         word-at-a-time accounting).  The request is silent iff it
         programs no cell.
         """
-        words = self._words
-        wear = self.wear
+        logical_map = self._logical
+        cells_map = self._cells
+        cells_get = cells_map.get
+        encoded_map = self._encoded
         stats = self.stats
         memo_get = self._dcw_memo.get
         miss = self._cost_miss
@@ -155,10 +170,8 @@ class NvmArray:
                 silent += 1
                 continue
             written += 1
-            slot = words.get(waddr)
-            if slot is None:
-                slot = words[waddr] = StoredWord.pristine()
-            old = slot.data_cells
+            state = cells_get(waddr, 0)
+            old = state & _DATA_MASK
             new, n_cells = pack_payload(enc.payload, enc.payload_bits, enc.policy)
             if n_cells < CELLS_PER_WORD:
                 keep = 3 * n_cells
@@ -166,11 +179,11 @@ class NvmArray:
             if new != old:
                 key = (old, new)
                 cells, word_latency, word_energy = memo_get(key) or miss(key)
-                slot.data_cells = new
+                state ^= old ^ new
             else:
                 cells, word_latency, word_energy = 0, 0.0, 0.0
             if enc.tag_bits > 0 or enc.method != "raw":
-                old = slot.tag_cells
+                old = (state >> _TAG_SHIFT) & _TAG_MASK
                 new = _tag_value(enc)
                 if new != old:
                     key = (old, new)
@@ -179,11 +192,11 @@ class NvmArray:
                     if tag_latency > word_latency:
                         word_latency = tag_latency
                     word_energy += tag_energy
-                    slot.tag_cells = new
-            slot.logical = logical & WORD_MASK
-            slot.encoded = enc
+                    state ^= (old ^ new) << _TAG_SHIFT
+            logical_map[waddr] = logical & WORD_MASK
+            encoded_map[waddr] = enc
             if cells:
-                wear[waddr] = wear.get(waddr, 0) + cells
+                cells_map[waddr] = state + (cells << _WEAR_SHIFT)
                 cells_total += cells
                 if word_latency > latency:
                     latency = word_latency
@@ -203,14 +216,22 @@ class NvmArray:
         """Program one encoded word; returns the DCW cost."""
         return self.write_words(addr, (encoded,), (logical,))
 
+    def _view(self, waddr: int, logical: int) -> StoredWord:
+        state = self._cells.get(waddr, 0)
+        return StoredWord(
+            logical,
+            state & _DATA_MASK,
+            (state >> _TAG_SHIFT) & _TAG_MASK,
+            self._encoded.get(waddr),
+        )
+
     def read_word(self, addr: int) -> StoredWord:
-        """Return the stored state of a word slot (pristine if unwritten)."""
-        slot = self._words.get(self.word_addr(addr))
-        return slot if slot is not None else StoredWord.pristine()
+        """Return a view of a word slot's state (pristine if unwritten)."""
+        waddr = addr & _ALIGN
+        return self._view(waddr, self._logical.get(waddr, 0))
 
     def read_logical(self, addr: int) -> int:
-        slot = self._words.get(addr & _ALIGN)
-        return 0 if slot is None else slot.logical
+        return self._logical.get(addr & _ALIGN, 0)
 
     def write_logical(self, addr: int, value: int) -> None:
         """Set a slot's logical value without cost accounting.
@@ -218,43 +239,33 @@ class NvmArray:
         Used by the recovery routine, which copies log data to home
         locations outside the measured execution window.
         """
-        if self._journal is not None:
-            waddr = self.word_addr(addr)
-            if waddr not in self._journal:
-                slot = self._words.get(waddr)
-                self._journal[waddr] = slot.logical if slot is not None else None
-        self._slot(addr).logical = mask_word(value)
+        waddr = addr & _ALIGN
+        journal = self._journal
+        if journal is not None and waddr not in journal:
+            journal[waddr] = self._logical.get(waddr)
+        self._logical[waddr] = value & WORD_MASK
 
     def bulk_write_logical(self, addrs, values) -> None:
         """Install many logical words at once (trace-replay setup path).
 
         Semantically ``write_logical`` in a loop, with the per-call
-        aligning/journal/dict overhead hoisted out; replaying a recorded
+        aligning/journal overhead hoisted out; replaying a recorded
         setup image is pure data movement, so this is the hot path of
         :func:`repro.replay.replayer.apply_trace_setup`.
         """
-        align = _ALIGN
-        if not self._words and self._journal is None:
-            # Empty array (a freshly reset machine): build the slot map
-            # in one comprehension.  Duplicate addresses keep the last
-            # value, same as sequential writes.
-            self._words = {
-                addr & align: StoredWord(value & WORD_MASK, 0, 0, None)
-                for addr, value in zip(addrs, values)
-            }
-            return
         if self._journal is not None:
             for addr, value in zip(addrs, values):
                 self.write_logical(addr, value)
             return
-        words = self._words
-        for addr, value in zip(addrs, values):
-            waddr = addr & align
-            slot = words.get(waddr)
-            if slot is None:
-                slot = StoredWord.pristine()
-                words[waddr] = slot
-            slot.logical = value & WORD_MASK
+        # Duplicate addresses keep the last value, same as sequential
+        # writes.
+        align = _ALIGN
+        image = {addr & align: value & WORD_MASK for addr, value in zip(addrs, values)}
+        if self._logical:
+            self._logical.update(image)
+        else:
+            # Empty array (a freshly reset machine): the image is the map.
+            self._logical = image
 
     @contextmanager
     def journaled_logical_writes(self):
@@ -273,11 +284,16 @@ class NvmArray:
             yield self
         finally:
             journal, self._journal = self._journal, None
+            logical, cells = self._logical, self._cells
             for waddr, old in journal.items():
-                if old is None:
-                    self._words.pop(waddr, None)
-                else:
-                    self._words[waddr].logical = old
+                if old is not None:
+                    logical[waddr] = old
+                    continue
+                # A dropped slot loses its cells and encoding, not its wear.
+                logical.pop(waddr, None)
+                self._encoded.pop(waddr, None)
+                if waddr in cells:
+                    cells[waddr] = cells[waddr] >> _WEAR_SHIFT << _WEAR_SHIFT
 
     def written_addresses(self, lo: int, hi: int) -> list:
         """Sorted word addresses with a slot allocated in ``[lo, hi)``.
@@ -286,20 +302,29 @@ class NvmArray:
         heap-scans its durable region through this accessor; the array
         is sparse, so only slots that were ever written enumerate.
         """
-        return sorted(addr for addr in self._words if lo <= addr < hi)
+        return sorted(addr for addr in self._logical if lo <= addr < hi)
 
     def snapshot(self) -> Dict[int, StoredWord]:
         """Copy the persistent state for crash-injection tests."""
         return {
-            addr: StoredWord(s.logical, s.data_cells, s.tag_cells, s.encoded)
-            for addr, s in self._words.items()
+            addr: self._view(addr, logical) for addr, logical in self._logical.items()
         }
 
     def restore(self, snapshot: Dict[int, StoredWord]) -> None:
-        self._words = {
-            addr: StoredWord(s.logical, s.data_cells, s.tag_cells, s.encoded)
-            for addr, s in snapshot.items()
+        """Roll the slots back to ``snapshot``; every address keeps its wear."""
+        self._logical = {addr: s.logical for addr, s in snapshot.items()}
+        self._encoded = {
+            addr: s.encoded for addr, s in snapshot.items() if s.encoded is not None
         }
+        cells = {
+            addr: state >> _WEAR_SHIFT << _WEAR_SHIFT
+            for addr, state in self._cells.items()
+        }
+        for addr, s in snapshot.items():
+            packed = s.data_cells | s.tag_cells << _TAG_SHIFT
+            if packed:
+                cells[addr] = cells.get(addr, 0) | packed
+        self._cells = cells
 
     def __len__(self) -> int:
-        return len(self._words)
+        return len(self._logical)

@@ -349,8 +349,6 @@ class NvmModule:
             )
         elif enc.method == self.data_codec.name:
             decoded = self.data_codec.decode(enc, base_word)
-        elif isinstance(self.log_codec, SldeCodec):
-            decoded = self.log_codec.decode(enc, base_word)
         else:
             decoded = self.log_codec.decode(enc, base_word)
         if decoded != slot.logical:

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.records import HIGHER, INFO, LOWER, BenchRecord, record
 from repro.experiments.cache import PayloadCache, traffic_key_fields
-from repro.experiments.parallel import CellReport, GridReport, default_jobs
+from repro.experiments.parallel import CellReport, GridReport, resolve_jobs
 from repro.experiments.serialize import (
     config_to_dict,
     stable_hash,
@@ -133,7 +133,7 @@ def run_traffic_cells(
         execute_payloads,
     )
 
-    jobs = jobs or default_jobs()
+    jobs = resolve_jobs(jobs)
     report = MegaGridReport(jobs=jobs)
     started = time.perf_counter()
 

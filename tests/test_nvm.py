@@ -225,7 +225,7 @@ class TestNvmModule:
         module.write_data_line(0x40, [9] * 8, 0.0)
         assert module.decode_word(0x40) == 9
         # Corrupt the logical value; decode must notice.
-        module.array._slot(0x40).logical = 10
+        module.array.write_logical(0x40, 10)
         with pytest.raises(ValueError):
             module.decode_word(0x40)
 

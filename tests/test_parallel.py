@@ -18,6 +18,7 @@ from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache, cell
 from repro.experiments.parallel import (
     default_jobs,
     resolve_cell,
+    resolve_jobs,
     run_cells,
     run_grid_parallel,
 )
@@ -320,6 +321,60 @@ class TestRunCellsStrict:
         bad = dataclasses.replace(good, workload="no-such-workload")
         with pytest.raises(CellExecutionError):
             run_cells([good, bad], jobs=1)
+
+
+class TestJobsValidation:
+    """Explicit non-positive worker and shard counts are caller errors.
+
+    Regression for ``jobs = jobs or default_jobs()``: ``jobs=0`` silently
+    ran on every core, and ``jobs=-3`` ran inline while the report said
+    ``jobs=-3``.
+    """
+
+    def test_resolve_jobs(self):
+        assert resolve_jobs(None) == default_jobs()
+        assert resolve_jobs(3) == 3
+        for bad in (0, -3, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="jobs must be a positive int"):
+                resolve_jobs(bad)
+        with pytest.raises(ValueError, match="shards must be a positive int"):
+            resolve_jobs(0, "shards")
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_cells_rejects_non_positive_jobs(self, jobs):
+        spec = resolve_cell("FWB-CRADE", "hash", DatasetSize.SMALL, TINY)
+        with pytest.raises(ValueError, match="jobs must be a positive int"):
+            run_cells([spec], jobs=jobs)
+
+    def test_run_megagrid_rejects_non_positive_shards(self, tmp_path):
+        from repro.experiments.megagrid import run_megagrid
+
+        spec = resolve_cell("FWB-CRADE", "hash", DatasetSize.SMALL, TINY)
+        manifest = tmp_path / "sweep.json"
+        with pytest.raises(ValueError, match="shards must be a positive int"):
+            run_megagrid([spec], manifest_path=str(manifest), jobs=1, shards=0)
+        assert not manifest.exists()
+
+    def test_figures_and_headline_reject_zero_jobs(self):
+        from repro.experiments import figures
+        from repro.experiments.headline import headline_comparison
+
+        with pytest.raises(ValueError, match="jobs must be a positive int"):
+            headline_comparison(
+                TINY, cells=(("hash", DatasetSize.SMALL),), jobs=0)
+        with pytest.raises(ValueError, match="jobs must be a positive int"):
+            figures.fig14_macro_throughput(TINY, designs=DESIGNS, jobs=0)
+
+    def test_cli_grid_reports_bad_counts(self, capsys):
+        from repro.cli import main
+
+        grid = ["grid", "--designs", "FWB-CRADE", "--workloads", "hash",
+                "--transactions", "4", "--threads", "1", "--no-cache"]
+        assert main(grid + ["--jobs", "0"]) == 2
+        assert "grid: jobs must be a positive int, got 0" in capsys.readouterr().out
+        assert main(grid + ["--jobs", "1", "--shards", "-1"]) == 2
+        assert "grid: shards must be a positive int, got -1" in (
+            capsys.readouterr().out)
 
 
 class TestEngineShape:

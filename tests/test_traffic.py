@@ -431,6 +431,26 @@ class TestSweep:
         assert cache.stats.stores == 1
         assert results[0].to_dict() == results[1].to_dict()
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_non_positive_jobs_raise(self, jobs):
+        from repro.traffic.sweep import run_traffic_cells
+
+        spec = resolve_traffic_cell(
+            "MorLog-SLDE", fast_traffic(arrivals=60), config=tiny_config())
+        with pytest.raises(ValueError, match="jobs must be a positive int"):
+            run_traffic_cells([spec], jobs=jobs)
+
+    def test_cli_reports_zero_jobs(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "traffic", "--designs", "MorLog-SLDE", "--loads", "100000",
+            "--arrivals", "20", "--mix", "hash:1.0", "--tenants", "4",
+            "--no-cache", "--jobs", "0",
+        ]) == 2
+        assert "traffic: jobs must be a positive int, got 0" in (
+            capsys.readouterr().out)
+
     def test_failing_traffic_cell_raises_not_drops(self, tmp_path):
         import dataclasses
 
