@@ -1,41 +1,23 @@
 """Measurement taps and paper-figure analyses.
 
-- :mod:`repro.analysis.trace` — the store-stream collector behind the
-  motivation figures (the paper used PIN; we tap the simulator).
-- :mod:`repro.analysis.write_distance` — Figure 3.
-- :mod:`repro.analysis.clean_bytes` — Figure 5.
-- :mod:`repro.analysis.patterns` — Table II's per-pattern census.
+- :mod:`repro.analysis.motivation` — Figures 3 and 5 and Table II, read
+  from a recorded :class:`~repro.replay.StoreTrace` (the paper used
+  PIN; we record the simulator's store stream).  Import it from its
+  module: it loads numpy, and every CLI command and grid worker imports
+  this package without needing it.
+- :mod:`repro.analysis.walcheck` — the online write-ahead-ordering
+  checker, a ``System.trace`` tap.
 - :mod:`repro.analysis.overhead` — Table I and the SLDE overhead numbers.
 - :mod:`repro.analysis.report` — plain-text table rendering.
 """
 
-from repro.analysis.trace import TraceCollector
-from repro.analysis.trace_io import (
-    RecordingWorkload,
-    TraceOp,
-    TraceWorkload,
-    load_trace,
-    save_trace,
-)
 from repro.analysis.walcheck import WalChecker, attach_wal_checker
-from repro.analysis.write_distance import write_distance_distribution
-from repro.analysis.clean_bytes import clean_byte_percentage
-from repro.analysis.patterns import dldc_pattern_census
 from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
 from repro.analysis.report import format_bars, format_table
 
 __all__ = [
-    "TraceCollector",
-    "RecordingWorkload",
-    "TraceOp",
-    "TraceWorkload",
-    "load_trace",
-    "save_trace",
     "WalChecker",
     "attach_wal_checker",
-    "write_distance_distribution",
-    "clean_byte_percentage",
-    "dldc_pattern_census",
     "morphable_logging_overhead",
     "slde_overhead",
     "format_bars",

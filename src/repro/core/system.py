@@ -121,8 +121,12 @@ class System:
         self._line_txs: Dict[int, set] = {}
         if self._tx_table:
             self.logger.data_persisted_hook = self._on_line_persisted
-        # Optional analysis tap: object with on_tx_store(tid, txid, addr,
-        # old, new) (see repro.analysis.trace).
+        # Optional checker tap: object with on_tx_store(tid, txid, addr,
+        # old, new), called before each persistent transactional store is
+        # logged.  The online checkers (repro.analysis.walcheck.WalChecker,
+        # the fault sweep's repro.faultinject.oracle.WriteSetTracker) match
+        # each store against log appends and crash points while the run
+        # is in flight, which an after-the-fact recording cannot do.
         self.trace = None
         # Optional replay-recording tap: object with on_setup_store /
         # on_tx_dispatch / on_tx_store plus the TxContext op hooks

@@ -27,21 +27,11 @@ The equivalence is pinned by the Hypothesis differential suite in
 that memoized results are bit-identical to computed ones, so a kernel
 bug would surface as a replay-differential failure, never as silently
 different results.
-
-numpy is a hard requirement of the replay subsystem but not of the
-scalar simulator; this module degrades to an informative ImportError at
-call time when numpy is absent.
 """
 
 from typing import Tuple
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.encoding.fpc import FPC_PREFIX_PAYLOAD_BITS
 from repro.encoding.memo import (
@@ -52,8 +42,6 @@ from repro.encoding.memo import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
-    "require_numpy",
     "vec_dirty_byte_mask",
     "vec_bit_flips",
     "vec_flipnwrite_flip",
@@ -66,16 +54,7 @@ __all__ = [
 ]
 
 
-def require_numpy() -> None:
-    if not HAVE_NUMPY:  # pragma: no cover - the toolchain ships numpy
-        raise ImportError(
-            "the vectorized encoding kernels and trace replay need numpy; "
-            "install it or use the scalar codecs directly"
-        )
-
-
 def _as_u64(values) -> "np.ndarray":
-    require_numpy()
     return np.ascontiguousarray(values, dtype=np.uint64)
 
 

@@ -10,11 +10,8 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.clean_bytes import clean_byte_percentage
 from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
-from repro.analysis.patterns import dldc_pattern_census
 from repro.analysis.report import format_table
-from repro.analysis.write_distance import write_distance_distribution
 from repro.common.config import SystemConfig
 from repro.common.stats import geometric_mean
 from repro.core.designs import DESIGN_NAMES, EXTENSION_DESIGN_NAMES, make_system
@@ -86,6 +83,10 @@ def fig3_write_distance(
     workloads: Sequence[str] = MOTIVATION_WORKLOADS,
 ) -> Dict[str, "OrderedDict[str, float]"]:
     """Figure 3: write-distance distribution per workload."""
+    # Imported here: the motivation module loads numpy, which importing
+    # this package (every CLI command, every grid worker) does not.
+    from repro.analysis.motivation import write_distance_distribution
+
     scale = scale or ExperimentScale()
     out: "OrderedDict[str, OrderedDict[str, float]]" = OrderedDict()
     for name in workloads:
@@ -116,6 +117,8 @@ def fig5_clean_bytes(
     workloads: Sequence[str] = MOTIVATION_WORKLOADS,
 ) -> "OrderedDict[str, float]":
     """Figure 5: % clean bytes among data updated by transactions."""
+    from repro.analysis.motivation import clean_byte_percentage
+
     scale = scale or ExperimentScale()
     out: "OrderedDict[str, float]" = OrderedDict()
     for name in workloads:
@@ -146,6 +149,8 @@ def table2_patterns(
     workloads: Sequence[str] = MOTIVATION_WORKLOADS,
 ) -> "OrderedDict[str, float]":
     """Table II: fraction of dirty log data per DLDC pattern."""
+    from repro.analysis.motivation import dldc_pattern_census
+
     scale = scale or ExperimentScale()
     return dldc_pattern_census(
         workloads,

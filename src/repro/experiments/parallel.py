@@ -230,7 +230,7 @@ def _run_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     (test-enforced), so the result — and hence the cache entry — is
     bit-identical either way and the cache key needs no trace field.
     """
-    from repro.experiments.runner import run_design_traced
+    from repro.experiments.runner import run_design_system
 
     from repro.experiments.megagrid import apply_injected_fault
 
@@ -244,7 +244,7 @@ def _run_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         from repro.trace import TraceConfig
 
         trace = TraceConfig(enabled=True)
-    result, bus = run_design_traced(
+    result, system = run_design_system(
         payload["design"],
         payload["workload"],
         DatasetSize[payload["dataset"]],
@@ -254,6 +254,7 @@ def _run_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         n_threads=payload["n_threads"],
         trace=trace,
     )
+    bus = system.tracer
     if bus is not None and trace_path is not None:
         from repro.trace import write_chrome_trace
 

@@ -129,31 +129,13 @@ def run_design(
 
     ``trace`` takes a :class:`repro.trace.TraceConfig`; tracing is inert
     (test-enforced), so traced and traceless runs return identical
-    results.  Use :func:`run_design_traced` to get the bus back.
+    results.  :func:`run_design_system` also returns the system, whose
+    ``tracer`` holds the bus.
     """
-    return run_design_traced(
+    return run_design_system(
         design, workload_name, dataset, scale, config, params,
         n_threads, n_transactions, trace,
     )[0]
-
-
-def run_design_traced(
-    design: str,
-    workload_name: str,
-    dataset: DatasetSize = DatasetSize.SMALL,
-    scale: Optional[ExperimentScale] = None,
-    config: Optional[SystemConfig] = None,
-    params: Optional[WorkloadParams] = None,
-    n_threads: Optional[int] = None,
-    n_transactions: Optional[int] = None,
-    trace=None,
-):
-    """Like :func:`run_design` but returns ``(RunResult, bus_or_None)``."""
-    result, system = run_design_system(
-        design, workload_name, dataset, scale, config, params,
-        n_threads, n_transactions, trace,
-    )
-    return result, system.tracer
 
 
 def run_design_system(

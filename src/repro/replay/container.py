@@ -30,12 +30,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from repro.encoding.vector import require_numpy
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 MAGIC = b"MLTR"
 TRACE_VERSION = 1
@@ -96,7 +91,6 @@ class StoreTrace:
     pair_new: "np.ndarray" = field(default=None)
 
     def __post_init__(self) -> None:
-        require_numpy()
         for name, dtype in COLUMNS:
             column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             setattr(self, name, column)
@@ -110,12 +104,26 @@ class StoreTrace:
             raise TraceError("pair columns must be parallel")
         starts = self.tx_start
         if starts.size:
-            if int(starts[0]) != 0 and int(starts[0]) > self.op_kind.size:
-                raise TraceError("transaction offsets out of range")
             if (np.diff(starts.astype(np.int64)) < 0).any():
                 raise TraceError("transaction offsets must be non-decreasing")
             if int(starts[-1]) > self.op_kind.size:
                 raise TraceError("transaction offsets out of range")
+            if int(starts[0]) != 0:
+                raise TraceError(
+                    "ops outside any transaction: the first transaction"
+                    " starts at op %d" % int(starts[0])
+                )
+            core = int(self.tx_core.max())
+            if core >= self.n_threads:
+                raise TraceError(
+                    "a transaction ran on core %d, but the trace has %d"
+                    " threads" % (core, self.n_threads)
+                )
+        elif self.op_kind.size:
+            raise TraceError(
+                "ops outside any transaction: %d ops, no transactions"
+                % self.op_kind.size
+            )
 
     # -- shape ----------------------------------------------------------
 
@@ -190,7 +198,6 @@ def save_trace(path: str, trace: StoreTrace) -> str:
 
 def load_trace(path: str) -> StoreTrace:
     """Read a trace container back, validating format, version, digest."""
-    require_numpy()
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:

@@ -20,6 +20,8 @@ either way, which the differential suite pins by replaying with
 
 from typing import Dict
 
+import numpy as np
+
 from repro.common.bitops import select_bytes
 from repro.encoding.base import EncodedWord
 from repro.encoding.dldc import (
@@ -34,17 +36,11 @@ from repro.encoding.expansion import policy_for_size
 from repro.encoding.fpc import FpcCodec
 from repro.encoding.slde import ENCODING_TYPE_FLAG_BITS, SldeCodec
 from repro.encoding.vector import (
-    HAVE_NUMPY,
     vec_dirty_byte_mask,
     vec_dldc_stream_bits,
     vec_fpc_prefix,
 )
 from repro.replay.container import OP_STORE, OP_STORE_NT, StoreTrace
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
 
 
 def _dldc_encoded(word: int, mask: int, tag: int, stream_bits: int) -> EncodedWord:
@@ -145,8 +141,8 @@ def prewarm_codecs(system, trace: StoreTrace) -> Dict[str, int]:
     """Batch-classify the trace's words and seed the system's codec memos.
 
     Returns seed counts (diagnostics only).  Best-effort by design: when
-    numpy is missing, memoization is disabled, or a codec has no
-    vectorized classifier, the affected memo is simply left cold.
+    memoization is disabled or a codec has no vectorized classifier, the
+    affected memo is simply left cold.
     """
     stats = {
         "pairs": 0,
@@ -156,8 +152,6 @@ def prewarm_codecs(system, trace: StoreTrace) -> Dict[str, int]:
         "data_seeded": 0,
         "log_seeded": 0,
     }
-    if not HAVE_NUMPY:
-        return stats
     nvm = system.controller.nvm
     old = trace.pair_old
     new = trace.pair_new

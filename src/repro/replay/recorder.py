@@ -20,6 +20,8 @@ unrecorded one (pinned in ``tests/test_replay_differential.py``).
 
 from typing import Any, Dict, Optional
 
+import numpy as np
+
 from repro.replay.container import (
     OP_COMPUTE,
     OP_LOAD,
@@ -28,11 +30,6 @@ from repro.replay.container import (
     StoreTrace,
     TraceError,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
 
 
 class TraceRecorder:

@@ -18,10 +18,7 @@ the trace's word pairs before the loop starts.  Both are result-inert.
 
 from typing import Callable, List
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from repro.core.system import RunResult
 from repro.replay.container import (
@@ -44,7 +41,7 @@ def apply_trace_setup(system, trace: StoreTrace) -> None:
     per-word ``setup_store`` calls.  With a recorder attached (recording
     a replay) the tap-firing scalar path is kept.
     """
-    if system.recorder is not None or np is None:
+    if system.recorder is not None:
         store = system.setup_store
         for addr, value in zip(trace.setup_addr.tolist(), trace.setup_val.tolist()):
             store(addr, value)

@@ -198,8 +198,6 @@ def run_traffic_system(
 
     mixture = MixtureWorkload(
         params=traffic.workload_params(), blend=traffic.mix)
-    if system._ran:
-        system.reset_machine()
     system._ran = True
     mixture.setup(system, traffic.n_threads)
     system.reset_measurement()

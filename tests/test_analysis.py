@@ -1,10 +1,9 @@
-"""Analysis-layer tests: trace collector, overheads, report rendering."""
+"""Analysis-layer tests: stats helpers, overheads, report rendering."""
 
 import pytest
 
 from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
 from repro.analysis.report import format_normalized, format_table
-from repro.analysis.trace import TraceCollector
 from repro.common.config import SystemConfig
 from repro.common.stats import Histogram, StatGroup, geometric_mean, normalize
 
@@ -58,58 +57,6 @@ class TestDerivedStats:
     def test_normalize(self):
         out = normalize({"a": 2.0, "b": 4.0}, "a")
         assert out == {"a": 1.0, "b": 2.0}
-
-
-class TestTraceCollector:
-    def test_first_write_counted(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0, 1)
-        assert trace.first_writes == 1
-        assert trace.distance.total == 0
-
-    def test_distance_measured_between_rewrites(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0, 1)
-        trace.on_tx_store(0, 1, 0x108, 0, 1)
-        trace.on_tx_store(0, 1, 0x110, 0, 1)
-        trace.on_tx_store(0, 1, 0x100, 1, 2)  # distance 2
-        assert trace.distance.counts()["2-3"] == 1
-
-    def test_distance_is_per_thread(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0, 1)
-        trace.on_tx_store(1, 2, 0x100, 0, 1)  # other thread: first write
-        assert trace.first_writes == 2
-
-    def test_clean_byte_fraction(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0x00, 0xFF)  # 1 dirty, 7 clean
-        assert trace.clean_byte_fraction == pytest.approx(7 / 8)
-
-    def test_silent_store_tracked(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 5, 5)
-        assert trace.silent_stores == 1
-
-    def test_rewrite_fraction_resets_per_tx(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0, 1)
-        trace.on_tx_store(0, 1, 0x100, 1, 2)   # rewrite in tx 1
-        trace.on_tx_store(0, 2, 0x100, 2, 3)   # new tx: not a tx-rewrite
-        assert trace.rewrites_in_tx == 1
-
-    def test_pattern_census_counts_zero_pattern(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0xFF, 0x00)  # dirty byte is zero
-        fractions = trace.pattern_fractions()
-        assert fractions["all-zero"] == 1.0
-
-    def test_distribution_includes_first_write(self):
-        trace = TraceCollector()
-        trace.on_tx_store(0, 1, 0x100, 0, 1)
-        dist = trace.distance_distribution()
-        assert dist["First Write"] == 1.0
-        assert sum(dist.values()) == pytest.approx(1.0)
 
 
 class TestOverheads:

@@ -221,6 +221,41 @@ class TestConstructionValidation:
         with pytest.raises(TraceError, match="out of range"):
             StoreTrace(meta={}, **columns)
 
+    def test_ops_before_first_transaction_rejected(self):
+        # Replay dispatches transactions only, so these ops would vanish.
+        columns = self.empty_columns()
+        columns.update(op_kind=[0, 0], op_addr=[0, 0], op_val=[0, 0],
+                       tx_start=[1], tx_core=[0])
+        with pytest.raises(TraceError, match="outside any transaction"):
+            StoreTrace(meta={}, **columns)
+
+    def test_ops_without_transactions_rejected(self):
+        columns = self.empty_columns()
+        columns.update(op_kind=[0], op_addr=[0], op_val=[0])
+        with pytest.raises(TraceError, match="outside any transaction"):
+            StoreTrace(meta={}, **columns)
+
+    def test_core_beyond_thread_count_rejected(self, tmp_path):
+        # Replay reads only the first n_threads core clocks, so a 1-thread
+        # trace relabelled to core 3 would report an elapsed time of 0.0.
+        trace, _result, _system = record_trace(
+            "MorLog-SLDE", "hash", config=tiny_config(),
+            params=WorkloadParams(initial_items=48, key_space=96, seed=11),
+            n_transactions=6, n_threads=1,
+        )
+        columns = {name: getattr(trace, name) for name in COLUMN_NAMES}
+        for core in (1, 3):
+            columns["tx_core"] = np.full_like(trace.tx_core, core)
+            with pytest.raises(TraceError,
+                               match="core %d, but the trace has 1" % core):
+                StoreTrace(meta=dict(trace.meta), **columns)
+        # The same columns read back from a file.
+        trace.tx_core[:] = 3
+        path = str(tmp_path / "relabelled.mltr")
+        save_trace(path, trace)
+        with pytest.raises(TraceError, match="core 3, but the trace has 1"):
+            load_trace(path)
+
     def test_ragged_columns_rejected(self):
         columns = self.empty_columns()
         columns.update(op_kind=[0], op_addr=[0, 1], op_val=[0])

@@ -10,7 +10,6 @@ These Hypothesis differential tests pin both layers.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import (
@@ -27,7 +26,6 @@ from repro.encoding.fpc import FPC_PATTERNS, FpcCodec, fpc_decompress, fpc_match
 from repro.encoding.vector import (
     BDI_TAG_PAYLOAD_BITS,
     FPC_PREFIX_PAYLOAD_BITS,
-    HAVE_NUMPY,
     vec_bdi_tag,
     vec_bit_flips,
     vec_dirty_byte_mask,
@@ -37,8 +35,6 @@ from repro.encoding.vector import (
     vec_flipnwrite_flip,
 )
 from repro.replay.prewarm import _dldc_encoded, _warm_slde
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="replay needs numpy")
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 masks = st.integers(min_value=0, max_value=0xFF)
