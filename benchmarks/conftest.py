@@ -22,8 +22,8 @@ import os
 import pytest
 
 from repro.experiments.cache import ResultCache, default_cache_dir
-from repro.experiments.parallel import resolve_jobs, run_grid_parallel
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.parallel import resolve_jobs
+from repro.experiments.runner import ExperimentScale, run_grid
 from repro.experiments import figures
 from repro.workloads.base import DatasetSize
 
@@ -76,23 +76,19 @@ def scale() -> ExperimentScale:
 @pytest.fixture(scope="session")
 def micro_grid_small(scale, grid_jobs, grid_cache):
     """The Figure 12(a)/13/Table V 'small dataset' experiment."""
-    outcome = run_grid_parallel(
+    return run_grid(
         figures.DESIGN_NAMES, figures.MICRO, DatasetSize.SMALL, scale,
         jobs=grid_jobs, cache=grid_cache,
     )
-    print("\n[micro_grid_small] " + outcome.report.summary())
-    return outcome.results
 
 
 @pytest.fixture(scope="session")
 def micro_grid_large(scale, grid_jobs, grid_cache):
     """The Figure 12(b)/Table V 'large dataset' experiment."""
-    outcome = run_grid_parallel(
+    return run_grid(
         figures.DESIGN_NAMES, figures.MICRO, DatasetSize.LARGE, scale,
         jobs=grid_jobs, cache=grid_cache,
     )
-    print("\n[micro_grid_large] " + outcome.report.summary())
-    return outcome.results
 
 
 def run_once(benchmark, fn):

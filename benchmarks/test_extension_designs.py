@@ -16,7 +16,8 @@ from benchmarks.conftest import BENCH_SCALE, run_once
 from repro.analysis.report import format_table
 from repro.bench import INFO, LOWER, record
 from repro.common.config import LoggingConfig, SystemConfig
-from repro.experiments.runner import run_design, run_design_system
+from repro.experiments.parallel import resolve_cell, run_cell
+from repro.experiments.runner import run_design
 from repro.workloads.base import DatasetSize, WorkloadParams
 
 DESIGNS = ("Undo-CRADE", "FWB-CRADE", "InCLL-CRADE", "CoW-Page", "Ckpt-Undo")
@@ -59,7 +60,7 @@ def test_extension_designs(benchmark):
         # with and without checkpoint compaction.
         log_records = {}
         for interval in (0, CKPT_INTERVAL):
-            _, system = run_design_system(
+            _, system = run_cell(resolve_cell(
                 "Ckpt-Undo",
                 "hash",
                 DatasetSize.SMALL,
@@ -67,7 +68,7 @@ def test_extension_designs(benchmark):
                 params=PARAMS,
                 n_transactions=N_TX,
                 n_threads=4,
-            )
+            ))
             log_records[interval] = len(system.recover().records)
         return runs, log_records
 

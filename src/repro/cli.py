@@ -568,17 +568,10 @@ def _cmd_run(args) -> None:
 
 def _cmd_grid(args) -> int:
     from repro.experiments.cache import ResultCache, default_cache_dir
-    from repro.experiments.megagrid import run_megagrid
+    from repro.experiments.megagrid import ExecutionPolicy, run_megagrid
     from repro.experiments.parallel import resolve_cell, resolve_jobs
 
-    try:
-        jobs = resolve_jobs(args.jobs)
-        shards = None if args.shards is None else resolve_jobs(args.shards, "shards")
-    except ValueError as error:
-        print("grid: %s" % error)
-        return 2
     resume = args.resume is not None
-    specs = None
     if not resume:
         if args.designs == "all":
             designs = list(ALL_DESIGNS)
@@ -604,7 +597,14 @@ def _cmd_grid(args) -> int:
                       % (workload, known))
                 return 2
         dataset = DatasetSize.LARGE if args.large else DatasetSize.SMALL
-        specs = [
+    try:
+        jobs = resolve_jobs(args.jobs)
+        shards = None if args.shards is None else resolve_jobs(args.shards, "shards")
+        # run_megagrid checks the same policy; checking it here turns a
+        # bad --retries/--cell-timeout into a usage error, like --jobs.
+        ExecutionPolicy(
+            jobs=jobs, retries=args.retries, timeout_s=args.cell_timeout)
+        specs = None if resume else [
             resolve_cell(
                 design, workload, dataset,
                 n_transactions=args.transactions, n_threads=args.threads,
@@ -612,6 +612,9 @@ def _cmd_grid(args) -> int:
             for workload in workloads
             for design in designs
         ]
+    except ValueError as error:
+        print("grid: %s" % error)
+        return 2
 
     cache = None
     if not args.no_cache:
@@ -799,7 +802,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.experiments.runner import run_design_system
+    from repro.experiments.parallel import resolve_cell, run_cell
     from repro.trace import (
         TraceConfig,
         assemble_timelines,
@@ -811,13 +814,15 @@ def _cmd_trace(args) -> int:
 
     design = _resolve_trace_design(args.design)
     dataset = DatasetSize.LARGE if args.large else DatasetSize.SMALL
-    result, system = run_design_system(
+    spec = resolve_cell(
         design,
         args.workload,
         dataset,
         n_transactions=args.transactions,
         n_threads=args.threads,
-        trace=TraceConfig(enabled=True, capacity=args.limit),
+    )
+    result, system = run_cell(
+        spec, TraceConfig(enabled=True, capacity=args.limit)
     )
     bus = system.tracer
     count = write_chrome_trace(
@@ -987,36 +992,32 @@ def _cmd_bench_record(args) -> int:
         current_run_path,
         record,
     )
-    from repro.experiments.runner import run_design_system
+    from repro.experiments.parallel import resolve_cell, run_cell
     from repro.experiments.serialize import (
-        config_to_dict,
-        params_to_dict,
         stable_hash,
         strip_result_inert_encoding,
     )
-    from repro.experiments.runner import default_config, resolve_params
     from repro.trace import metrics_snapshot
 
     dataset = DatasetSize.LARGE if args.large else DatasetSize.SMALL
-    result, system = run_design_system(
+    spec = resolve_cell(
         args.design,
         args.workload,
         dataset,
-        n_threads=args.threads,
         n_transactions=args.transactions,
+        n_threads=args.threads,
     )
+    result, system = run_cell(spec)
     # The digest covers everything that shapes this cell's absolute
     # numbers, so `bench compare` never pairs incompatible measurements.
     digest = stable_hash(
         {
-            "config": strip_result_inert_encoding(
-                config_to_dict(default_config())
-            ),
-            "design": args.design,
-            "params": params_to_dict(resolve_params(None, dataset)),
-            "threads": args.threads,
-            "transactions": args.transactions,
-            "workload": args.workload,
+            "config": strip_result_inert_encoding(spec.config_dict),
+            "design": spec.design,
+            "params": spec.params_dict,
+            "threads": spec.n_threads,
+            "transactions": spec.n_transactions,
+            "workload": spec.workload,
         }
     )
     benchmark = "cell/%s/%s" % (args.design, args.workload)

@@ -6,13 +6,17 @@ VI-E sensitivity study) and returns its data in a structured form; the
 ``benchmarks/`` tree wraps each one in a pytest-benchmark case that also
 prints the paper-shaped table.
 
-Grids run through :mod:`repro.experiments.megagrid` — the sharded,
-resumable, fail-soft sweep engine (per-future submission, streaming
-cache writes, shard manifests from :mod:`repro.experiments.manifest`) —
-backed by the content-addressed result cache in
-:mod:`repro.experiments.cache`; :mod:`repro.experiments.parallel` keeps
-the spec-resolution layer and the strict ``run_cells`` wrapper.  Figure
-artifacts (Vega-Lite + CSV) come from :mod:`repro.experiments.vega`.
+Every cell has one description and one execution path: arguments
+resolve into a :class:`CellSpec` through ``resolve_cell``
+(:mod:`repro.experiments.parallel`), which ``run_cell`` runs.  Lists of
+cells run through ``run_cells`` on the sweep engine in
+:mod:`repro.experiments.megagrid` — inline at ``jobs=1``, a process pool
+otherwise, with dedupe, streaming writes to the content-addressed result
+cache (:mod:`repro.experiments.cache`), fail-soft cells and resumable
+shard manifests (:mod:`repro.experiments.manifest`).  ``run_design`` and
+``run_grid`` (:mod:`repro.experiments.runner`) are thin wrappers over
+the same path.  Figure artifacts (Vega-Lite + CSV) come from
+:mod:`repro.experiments.vega`.
 """
 
 from repro.experiments.runner import ExperimentScale, run_design, run_grid
@@ -20,12 +24,11 @@ from repro.experiments.headline import HeadlineResult, headline_comparison
 from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.parallel import (
     CellSpec,
-    GridOutcome,
     GridReport,
     default_jobs,
     resolve_cell,
+    run_cell,
     run_cells,
-    run_grid_parallel,
 )
 from repro.experiments.manifest import (
     ShardManifest,
@@ -38,8 +41,6 @@ from repro.experiments.megagrid import (
     CellFailure,
     GridAssemblyError,
     MegaGridOutcome,
-    MegaGridReport,
-    resume_megagrid,
     run_megagrid,
 )
 from repro.experiments.vega import (
@@ -60,12 +61,11 @@ __all__ = [
     "ResultCache",
     "default_cache_dir",
     "CellSpec",
-    "GridOutcome",
     "GridReport",
     "default_jobs",
     "resolve_cell",
+    "run_cell",
     "run_cells",
-    "run_grid_parallel",
     "ShardManifest",
     "build_manifest",
     "load_manifest",
@@ -74,8 +74,6 @@ __all__ = [
     "CellFailure",
     "GridAssemblyError",
     "MegaGridOutcome",
-    "MegaGridReport",
-    "resume_megagrid",
     "run_megagrid",
     "discover_figures",
     "grid_vega_spec",

@@ -23,11 +23,8 @@ from typing import Any, Dict, Optional
 
 from repro.core.system import RunResult
 from repro.experiments.serialize import (
-    config_to_dict,
-    params_to_dict,
     run_result_from_dict,
     run_result_to_dict,
-    stable_hash,
     strip_result_inert_encoding,
 )
 
@@ -88,31 +85,6 @@ def cell_key_fields(
     if trace_digest is not None:
         fields["trace_digest"] = trace_digest
     return fields
-
-
-def cell_key(
-    design: str,
-    workload: str,
-    dataset,
-    config,
-    params,
-    n_transactions: int,
-    n_threads: int,
-    repro_scale: float,
-) -> str:
-    """Content hash of one grid cell's inputs (dataclass arguments)."""
-    return stable_hash(
-        cell_key_fields(
-            design,
-            workload,
-            dataset.name,
-            config_to_dict(config),
-            params_to_dict(params),
-            n_transactions,
-            n_threads,
-            repro_scale,
-        )
-    )
 
 
 def traffic_key_fields(

@@ -14,7 +14,7 @@ from repro.analysis.overhead import morphable_logging_overhead, slde_overhead
 from repro.analysis.report import format_table
 from repro.common.config import SystemConfig
 from repro.common.stats import geometric_mean
-from repro.core.designs import DESIGN_NAMES, EXTENSION_DESIGN_NAMES, make_system
+from repro.core.designs import DESIGN_NAMES, EXTENSION_DESIGN_NAMES
 from repro.experiments.runner import (
     DEFAULT_PARAMS,
     ExperimentScale,
@@ -22,7 +22,7 @@ from repro.experiments.runner import (
     run_design,
     run_grid,
 )
-from repro.workloads.base import DatasetSize, WorkloadParams, make_workload
+from repro.workloads.base import DatasetSize
 
 MICRO = ("btree", "hash", "queue", "rbtree", "sdg", "sps")
 MACRO_CELLS = (

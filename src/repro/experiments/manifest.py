@@ -64,9 +64,6 @@ class ShardManifest:
     def specs(self) -> List[CellSpec]:
         return [spec_from_dict(cell["spec"]) for cell in self.cells]
 
-    def shard_keys(self, shard: int) -> List[str]:
-        return [c["key"] for c in self.cells if c["shard"] == shard]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "version": self.version,

@@ -1,32 +1,34 @@
-"""Sharded, resumable, fail-soft mega-grid sweep engine (ROADMAP item 4).
+"""Sharded, resumable, fail-soft sweep engine: the one execution core.
 
-``repro.experiments.parallel`` fans a grid out over one batch
-``ProcessPoolExecutor.map`` call — which a 10k+-cell design-space sweep
-cannot survive: one worker exception kills the whole sweep, a hung cell
-blocks it forever, and because results were only cached after *all*
-outputs returned, an interrupted sweep lost every completed cell.  This
-module replaces the batch call with per-future submission:
+Every grid, replay and traffic cell runs through :func:`run_megagrid`:
 
-- the work list is written to disk first as a shard manifest of
+- the work list can be written to disk first as a shard manifest of
   content-addressed cell keys (:mod:`repro.experiments.manifest`);
-- at most ``jobs`` cells are in flight at a time, each with a bounded
-  retry budget and an optional per-cell timeout, so one crashing or
-  hanging cell *fails soft* — recorded as a typed :class:`CellFailure`
-  — while every other cell completes;
-- each cell's result streams into the content-addressed cache the
-  moment its future resolves, and a progress event is appended to a
-  JSONL stream next to the manifest, so a crash loses at most the cells
-  in flight;
-- resuming (:func:`run_megagrid` with ``resume=True``) reloads the
-  manifest and re-runs only the cells the cache does not hold — the
-  cache key is the exactly-once token;
-- duplicate specs are deduplicated in flight (one simulation, fanned
-  back out to every requesting index) and assembly is by cell identity,
-  so a parallel, interrupted-and-resumed sweep is bit-identical to a
-  sequential one.
+- duplicate specs are deduplicated by cell key (one simulation, fanned
+  back out to every requesting index) and cached cells are served from
+  the content-addressed cache without simulating;
+- the misses run with per-future submission: inline at ``jobs=1``,
+  otherwise over a process pool with at most ``jobs`` cells in flight,
+  each with a bounded retry budget and an optional per-cell timeout, so
+  one crashing or hanging cell *fails soft* — recorded as a typed
+  :class:`CellFailure` — while every other cell completes;
+- each cell's result streams into the cache the moment it finishes, and
+  a progress event is appended to a JSONL stream next to the manifest,
+  so a crash loses at most the cells in flight;
+- resuming (``resume=True``) reloads the manifest and re-runs only the
+  cells the cache does not hold — the cache key is the exactly-once
+  token;
+- results are assembled by position, never by completion order, so a
+  parallel, interrupted-and-resumed sweep is bit-identical to an inline
+  one.
 
-``run_cells`` (grid) and ``run_traffic_cells`` (traffic sweeps) both
-run on :func:`execute_payloads`, the shared per-future core.
+Each spec kind supplies what the engine needs: ``key()`` and
+``key_fields()`` for dedupe and the cache, ``labels()`` for reports,
+``execute()`` as the worker body and ``decode()`` for stored results.
+:class:`~repro.experiments.parallel.CellSpec` (grid and replay cells,
+through :func:`~repro.experiments.parallel.run_cells`) and
+:class:`~repro.traffic.sweep.TrafficCellSpec` (through
+``run_traffic_cells``) are the two kinds.
 """
 
 import json
@@ -34,27 +36,17 @@ import os
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
-from repro.core.system import RunResult
 from repro.experiments.manifest import (
     ShardManifest,
     build_manifest,
     load_manifest,
     write_manifest,
 )
-from repro.experiments.parallel import (
-    CellReport,
-    CellSpec,
-    GridReport,
-    _payload,
-    _run_cell_payload,
-    _trace_path,
-    resolve_jobs,
-)
-from repro.experiments.serialize import run_result_from_dict
+from repro.experiments.parallel import CellReport, GridReport, resolve_jobs
 
 
 class CellExecutionError(SimulationError):
@@ -136,22 +128,58 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How hard the engine tries before a cell is declared failed."""
+    """How hard the engine tries before a cell is declared failed.
+
+    ``jobs=1`` runs inline, which cannot preempt a running cell, so a
+    per-cell timeout there is a caller error rather than a deadline that
+    silently never fires.
+    """
 
     jobs: int = 1
     retries: int = 0            # re-submissions after the first attempt
     timeout_s: Optional[float] = None  # per attempt, from submission
     fail_soft: bool = True      # False: first final failure raises
 
-
-def _describe_spec(spec: CellSpec) -> Tuple[str, str, str]:
-    return (spec.design, spec.workload, spec.dataset.name)
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(
+                "retries must be non-negative, got %r" % (self.retries,))
+        if self.timeout_s is None:
+            return
+        if self.timeout_s <= 0:
+            raise ValueError(
+                "cell timeout must be positive, got %r" % (self.timeout_s,))
+        if self.jobs == 1:
+            raise ValueError(
+                "a cell timeout needs jobs >= 2: the inline path (jobs=1)"
+                " cannot preempt a running cell")
 
 
 def _armed(payload: Dict[str, Any], inject, key: str) -> Dict[str, Any]:
     if inject and key in inject:
         payload = dict(payload, _inject=inject[key])
     return payload
+
+
+def _run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point: run one cell of any kind from its payload.
+
+    Must stay a module-level function so it pickles under every
+    multiprocessing start method; returns plain dicts for the same
+    reason.  Wall time is measured here so the report reflects the
+    simulation itself, not pool queueing.
+    """
+    started = time.perf_counter()
+    apply_injected_fault(payload)
+    result = payload["spec"].execute(payload["trace_path"])
+    return {"result": result, "seconds": time.perf_counter() - started}
+
+
+def _trace_path(trace_dir: Optional[str], spec) -> Optional[str]:
+    """Deterministic artifact path for one cell's Chrome trace."""
+    if trace_dir is None:
+        return None
+    return os.path.join(trace_dir, "%s.trace.json" % spec.key())
 
 
 def execute_payloads(
@@ -174,8 +202,9 @@ def execute_payloads(
     Returns ``(outputs, failures)`` keyed by cell key.  In fail-fast
     mode (``policy.fail_soft=False``) the first cell to exhaust its
     retry budget raises :class:`CellExecutionError` instead of filling
-    ``failures``.  The inline path (``jobs<=1`` or a single item) cannot
-    preempt a running cell, so timeouts only apply under a pool.
+    ``failures``.  Items run inline exactly when ``policy.jobs == 1``;
+    any other count uses a pool, even for a single item, so a per-cell
+    timeout always has a worker it can abandon.
     """
     outputs: Dict[str, Dict[str, Any]] = {}
     failures: Dict[str, CellFailure] = {}
@@ -193,7 +222,7 @@ def execute_payloads(
 
     if not entries:
         return outputs, failures
-    if policy.jobs <= 1 or len(entries) == 1:
+    if policy.jobs == 1:
         for key, payload in entries:
             payload = _armed(payload, inject, key)
             started = time.perf_counter()
@@ -320,31 +349,16 @@ class ProgressStream:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
         self.events_written += 1
 
-    def cell(self, status: str, key: str, spec: CellSpec, **fields) -> None:
+    def cell(self, status: str, key: str, spec, **fields) -> None:
+        design, workload, dataset = spec.labels()
         self.emit(
             status,
             key=key,
-            design=spec.design,
-            workload=spec.workload,
-            dataset=spec.dataset.name,
+            design=design,
+            workload=workload,
+            dataset=dataset,
             **fields,
         )
-
-
-@dataclass
-class MegaGridReport(GridReport):
-    """GridReport plus the typed failure list and resume provenance."""
-
-    failures: List[CellFailure] = field(default_factory=list)
-    resumed: bool = False
-
-    def summary(self) -> str:
-        text = GridReport.summary(self)
-        if self.resumed:
-            text += " [resumed]"
-        if self.failures:
-            text += ", %d FAILED" % len(self.failures)
-        return text
 
 
 @dataclass
@@ -356,40 +370,12 @@ class MegaGridOutcome:
     never shift, so downstream assembly cannot misattribute results.
     """
 
-    specs: List[CellSpec]
-    results: List[Optional[RunResult]]
+    specs: List[Any]
+    results: List[Optional[Any]]
     failures: List[CellFailure]
-    report: MegaGridReport
+    report: GridReport
     manifest: Optional[ShardManifest] = None
     manifest_path: Optional[str] = None
-
-    def by_key(self) -> Dict[str, RunResult]:
-        out: Dict[str, RunResult] = {}
-        for spec, result in zip(self.specs, self.results):
-            if result is not None:
-                out[spec.key()] = result
-        return out
-
-    def grid(self) -> Dict[str, Dict[str, RunResult]]:
-        """Assemble ``{workload: {design: result}}`` by cell identity.
-
-        Raises :class:`GridAssemblyError` if any cell is absent — the
-        caller must look at ``failures`` instead of receiving a grid
-        with silently missing (or worse, shifted) cells.
-        """
-        if self.failures or any(r is None for r in self.results):
-            raise GridAssemblyError(
-                "cannot assemble a full grid: %d cell(s) failed (%s)"
-                % (
-                    len(self.failures),
-                    "; ".join(f.format() for f in self.failures[:3]) or
-                    "results missing",
-                )
-            )
-        out: Dict[str, Dict[str, RunResult]] = {}
-        for spec, result in zip(self.specs, self.results):
-            out.setdefault(spec.workload, {})[spec.design] = result
-        return out
 
 
 def progress_path_for(manifest_path: str) -> str:
@@ -397,7 +383,7 @@ def progress_path_for(manifest_path: str) -> str:
 
 
 def run_megagrid(
-    specs: Optional[Sequence[CellSpec]] = None,
+    specs: Optional[Sequence[Any]] = None,
     manifest_path: Optional[str] = None,
     resume: bool = False,
     jobs: Optional[int] = None,
@@ -407,19 +393,24 @@ def run_megagrid(
     fail_soft: bool = True,
     shards: Optional[int] = None,
     trace_dir: Optional[str] = None,
-    progress_path: Optional[str] = None,
-    meta: Optional[Dict[str, Any]] = None,
-    on_cell: Optional[Callable[[str, CellSpec, RunResult], None]] = None,
     interrupt_after: Optional[int] = None,
     inject: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> MegaGridOutcome:
-    """Run (or resume) a sharded, fail-soft, streaming grid sweep.
+    """Run (or resume) a sharded, fail-soft, streaming sweep.
 
     Fresh sweep: pass ``specs`` (and optionally ``manifest_path`` to
-    persist the shard manifest before execution).  Resume: pass
-    ``resume=True`` with ``manifest_path``; the frozen specs come from
-    the manifest (so ``REPRO_SCALE`` etc. apply exactly once, at
-    manifest creation) and only cells missing from ``cache`` run.
+    persist the shard manifest before execution and stream progress
+    events next to it).  Resume: pass ``resume=True`` with
+    ``manifest_path``; the frozen specs come from the manifest (so
+    ``REPRO_SCALE`` etc. apply exactly once, at manifest creation) and
+    only cells missing from ``cache`` run.  A manifest holds grid cells
+    (:class:`~repro.experiments.parallel.CellSpec`); every spec kind runs
+    without one.
+
+    ``jobs=1`` runs inline; any other count uses a process pool.
+    ``timeout_s`` needs a pool, so with ``jobs=1`` it raises
+    ``ValueError``, as do a non-positive ``timeout_s`` and negative
+    ``retries``.
 
     Fail-soft semantics: a cell that exhausts ``retries`` (or blows
     ``timeout_s``) becomes a :class:`CellFailure` in the outcome, its
@@ -427,18 +418,18 @@ def run_megagrid(
     ``fail_soft=False`` restores fail-fast: the first final failure
     raises :class:`CellExecutionError` — with everything already
     completed safely in the cache, because results stream into it as
-    each future resolves, not after the batch.
+    each cell finishes, not after the batch.
 
     ``interrupt_after=N`` raises ``KeyboardInterrupt`` from the
     completion loop after N simulated cells have streamed to the cache:
     a deterministic stand-in for a mid-flight hard kill, used by the
     kill-and-resume tests and the CI smoke job.
-
-    ``on_cell(key, spec, result)`` fires per simulated cell, in
-    completion order, after the cache write — the live-observatory seam.
     """
     jobs = resolve_jobs(jobs)
     shards = jobs if shards is None else resolve_jobs(shards, "shards")
+    policy = ExecutionPolicy(
+        jobs=jobs, retries=retries, timeout_s=timeout_s, fail_soft=fail_soft
+    )
     manifest: Optional[ShardManifest] = None
     if resume:
         if manifest_path is None:
@@ -450,38 +441,52 @@ def run_megagrid(
             raise ValueError("pass specs (or resume=True with manifest_path)")
         specs = list(specs)
         if manifest_path is not None:
-            manifest = build_manifest(
-                specs, shards=shards, meta=meta)
+            manifest = build_manifest(specs, shards=shards)
             write_manifest(manifest_path, manifest)
+    report = GridReport(jobs=jobs, resumed=resume)
     if not specs:
         return MegaGridOutcome(
-            specs=[], results=[], failures=[],
-            report=MegaGridReport(jobs=jobs, resumed=resume),
+            specs=[], results=[], failures=[], report=report,
             manifest=manifest, manifest_path=manifest_path,
         )
-    if progress_path is None and manifest_path is not None:
-        progress_path = progress_path_for(manifest_path)
-    progress = ProgressStream(progress_path)
-
-    report = MegaGridReport(jobs=jobs, resumed=resume)
+    progress = ProgressStream(
+        progress_path_for(manifest_path) if manifest_path is not None else None
+    )
     started = time.perf_counter()
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
 
-    # Dedupe in-flight cells by content key: the first index owns the
-    # simulation, every later duplicate fans out from it.
-    keys = [spec.key() for spec in specs]
+    # Dedupe by content key: the first index owns the simulation, every
+    # later duplicate fans out from it.
     order: Dict[str, List[int]] = {}
-    for i, key in enumerate(keys):
-        order.setdefault(key, []).append(i)
+    for i, spec in enumerate(specs):
+        order.setdefault(spec.key(), []).append(i)
 
-    results: List[Optional[RunResult]] = [None] * len(specs)
+    results: List[Optional[Any]] = [None] * len(specs)
     reports: List[Optional[CellReport]] = [None] * len(specs)
+
+    def fan_out(key, result, seconds, cached, trace_path) -> None:
+        indices = order[key]
+        design, workload, dataset = specs[indices[0]].labels()
+        for position, i in enumerate(indices):
+            results[i] = result
+            reports[i] = CellReport(
+                design, workload, dataset,
+                cached or position > 0,     # duplicates report as hits
+                seconds if position == 0 else 0.0,
+                key,
+                trace_path=trace_path,
+                deduped=position > 0,
+            )
+
     to_run: List[str] = []
     cached_keys: List[str] = []
     for key, indices in order.items():
         spec = specs[indices[0]]
-        cached = cache.get(key) if cache is not None else None
+        cached = (
+            cache.get_payload(key, decode=spec.decode)
+            if cache is not None else None
+        )
         if cached is None:
             to_run.append(key)
             continue
@@ -489,12 +494,7 @@ def run_megagrid(
         trace_path = _trace_path(trace_dir, spec)
         if trace_path is not None and not os.path.exists(trace_path):
             trace_path = None
-        for position, i in enumerate(indices):
-            results[i] = cached
-            reports[i] = CellReport(
-                spec.design, spec.workload, spec.dataset.name, True, 0.0,
-                key, trace_path=trace_path, deduped=position > 0,
-            )
+        fan_out(key, cached, 0.0, True, trace_path)
 
     progress.emit(
         "start",
@@ -512,29 +512,20 @@ def run_megagrid(
 
     def handle_output(key: str, output: Dict[str, Any], attempts: int) -> None:
         nonlocal simulated
-        indices = order[key]
-        spec = specs[indices[0]]
-        result = run_result_from_dict(output["result"])
+        spec = specs[order[key][0]]
         if cache is not None:
             # Stream into the cache *now* — an interruption one cell
             # later must not lose this one.
-            cache.put(key, result, key_fields=spec.key_fields())
-        for position, i in enumerate(indices):
-            results[i] = result
-            reports[i] = CellReport(
-                spec.design, spec.workload, spec.dataset.name,
-                position > 0,           # duplicates report as hits
-                output["seconds"] if position == 0 else 0.0,
-                key,
-                trace_path=output.get("trace_path"),
-                deduped=position > 0,
-            )
+            cache.put_payload(
+                key, output["result"], key_fields=spec.key_fields())
+        fan_out(
+            key, spec.decode(output["result"]), output["seconds"], False,
+            _trace_path(trace_dir, spec),
+        )
         progress.cell(
             "completed", key, spec,
             seconds=output["seconds"], attempts=attempts,
         )
-        if on_cell is not None:
-            on_cell(key, spec, result)
         simulated += 1
         if interrupt_after is not None and simulated >= interrupt_after:
             raise KeyboardInterrupt(
@@ -542,23 +533,17 @@ def run_megagrid(
             )
 
     entries = [
-        (
-            key,
-            _payload(
-                specs[order[key][0]],
-                _trace_path(trace_dir, specs[order[key][0]]),
-            ),
-        )
+        (key, {
+            "spec": specs[order[key][0]],
+            "trace_path": _trace_path(trace_dir, specs[order[key][0]]),
+        })
         for key in to_run
     ]
-    policy = ExecutionPolicy(
-        jobs=jobs, retries=retries, timeout_s=timeout_s, fail_soft=fail_soft
-    )
     _outputs, failure_map = execute_payloads(
         entries,
-        _run_cell_payload,
+        _run_payload,
         policy,
-        describe=lambda key: _describe_spec(specs[order[key][0]]),
+        describe=lambda key: specs[order[key][0]].labels(),
         on_output=handle_output,
         inject=inject,
     )
@@ -578,6 +563,13 @@ def run_megagrid(
         failed=len(report.failures),
         wall_seconds=report.wall_seconds,
     )
+    missing = [i for i, r in enumerate(results) if r is None]
+    if missing and not fail_soft:
+        # Unreachable in fail-fast mode (the engine raises first); kept
+        # so a dropped cell can never corrupt positional assembly.
+        raise GridAssemblyError(
+            "%d cell(s) absent at indices %s" % (len(missing), missing)
+        )
     return MegaGridOutcome(
         specs=list(specs),
         results=results,
@@ -585,19 +577,6 @@ def run_megagrid(
         report=report,
         manifest=manifest,
         manifest_path=manifest_path,
-    )
-
-
-def resume_megagrid(
-    manifest_path: str,
-    jobs: Optional[int] = None,
-    cache=None,
-    **kwargs,
-) -> MegaGridOutcome:
-    """Resume a sweep from its manifest (sugar for ``resume=True``)."""
-    return run_megagrid(
-        manifest_path=manifest_path, resume=True, jobs=jobs, cache=cache,
-        **kwargs,
     )
 
 

@@ -1,38 +1,53 @@
-"""Parallel grid engine: fan (design x workload x dataset) cells out over
-a process pool, backed by the content-addressed result cache.
+"""Grid cells: one description (:class:`CellSpec`), one runner.
 
 The paper's evaluation is an embarrassingly parallel sweep (8 designs x
 12 workloads, Figs 12-16): every cell is an independent, seeded and
-therefore deterministic simulation.  This module resolves each cell to an
-explicit, serializable :class:`CellSpec` in the parent (so ``REPRO_SCALE``
-and the :class:`ExperimentScale` are applied exactly once, before the
-process boundary), checks the cache, and submits only the misses to a
-``concurrent.futures.ProcessPoolExecutor``.  Results are assembled by
-cell identity — never by completion order — so a parallel run is
-bit-identical to a sequential one; ``jobs=1`` (or a single cell) runs
-inline in-process for the same reason, which also keeps the engine usable
-where process pools are unavailable.
+therefore deterministic simulation.  Every way of running a cell comes
+through this module:
+
+- :func:`resolve_cell` turns run_design-style arguments (counts, config,
+  params, scale) into an explicit, serializable :class:`CellSpec`, so
+  ``REPRO_SCALE`` and the :class:`ExperimentScale` are applied exactly
+  once, before any process boundary;
+- :func:`build_cell` builds the fresh system and workload a spec runs
+  on, and :func:`run_cell` runs it (or replays the spec's recorded
+  trace).  ``run_design``, the pool worker and the ``trace`` and
+  ``bench record`` commands call :func:`run_cell`; ``record_trace`` and
+  ``profile_design`` call :func:`build_cell` and attach their recorder
+  or profiler before running;
+- :func:`run_cells` executes a list of specs on the sweep engine
+  (:func:`repro.experiments.megagrid.run_megagrid`): cache first,
+  duplicates simulated once, inline at ``jobs=1`` and over a process
+  pool otherwise, results assembled by position — never by completion
+  order — so a parallel run is bit-identical to an inline one.
 
 Per-cell wall time and cache hit/miss counters land in the returned
 :class:`GridReport`, making cache speedup and pool scaling observable.
 """
 
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.designs import make_system
 from repro.core.system import RunResult
 from repro.experiments.cache import ResultCache, cell_key_fields
+from repro.experiments.runner import (
+    _scale,
+    default_config,
+    resolve_counts,
+    resolve_params,
+)
 from repro.experiments.serialize import (
     config_from_dict,
     config_to_dict,
     params_from_dict,
     params_to_dict,
+    run_result_from_dict,
     run_result_to_dict,
     stable_hash,
 )
-from repro.workloads.base import DatasetSize, WorkloadParams
+from repro.workloads.base import DatasetSize, make_workload
 
 
 def default_jobs() -> int:
@@ -96,6 +111,35 @@ class CellSpec:
     def key(self) -> str:
         return stable_hash(self.key_fields())
 
+    def labels(self) -> Tuple[str, str, str]:
+        """``(design, workload, dataset)`` as reports and failures name it."""
+        return self.design, self.workload, self.dataset.name
+
+    def execute(self, trace_path: Optional[str]) -> Dict[str, Any]:
+        """The engine's worker body: run this cell, return its result dict.
+
+        With a ``trace_path`` the cell runs traced and exports a Chrome
+        trace there.  Tracing is inert (test-enforced), so the result —
+        and hence the cache entry — is bit-identical either way and the
+        cache key needs no trace field.
+        """
+        if trace_path is None:
+            return run_result_to_dict(run_cell(self)[0])
+        from repro.trace import TraceConfig, write_chrome_trace
+
+        result, system = run_cell(self, TraceConfig(enabled=True))
+        bus = system.tracer
+        write_chrome_trace(
+            trace_path,
+            bus.events,
+            design=self.design,
+            workload=self.workload,
+            dropped=bus.dropped,
+        )
+        return run_result_to_dict(result)
+
+    decode = staticmethod(run_result_from_dict)
+
 
 def resolve_cell(
     design: str,
@@ -112,13 +156,6 @@ def resolve_cell(
     Explicit ``n_transactions``/``n_threads`` must be positive (see
     :func:`repro.experiments.runner.resolve_counts`).
     """
-    from repro.experiments.runner import (
-        _scale,
-        default_config,
-        resolve_counts,
-        resolve_params,
-    )
-
     n_transactions, n_threads = resolve_counts(
         workload, dataset, scale, n_transactions, n_threads
     )
@@ -134,6 +171,36 @@ def resolve_cell(
         n_threads=n_threads,
         repro_scale=_scale(),
     )
+
+
+def build_cell(spec: CellSpec, trace=None):
+    """The fresh ``(System, workload)`` one cell runs on.
+
+    A replay cell has no workload (``None``): its trace drives the
+    system.  ``trace`` takes a :class:`repro.trace.TraceConfig`.
+    """
+    system = make_system(
+        spec.design, config_from_dict(spec.config_dict), trace=trace
+    )
+    if spec.replay_trace_path is not None:
+        return system, None
+    return system, make_workload(spec.workload, params_from_dict(spec.params_dict))
+
+
+def run_cell(spec: CellSpec, trace=None) -> Tuple[RunResult, Any]:
+    """Run one cell and return ``(RunResult, System)``.
+
+    The system gives callers the post-run machine state the result alone
+    cannot: the trace bus, and host-side diagnostics such as the codec
+    memo counters (``system.controller.nvm.memo_stats()``).  A replay
+    cell replays its recorded trace instead of running the workload.
+    """
+    system, workload = build_cell(spec, trace)
+    if workload is None:
+        from repro.replay import load_trace, replay_trace
+
+        return replay_trace(system, load_trace(spec.replay_trace_path)), system
+    return system.run(workload, spec.n_transactions, spec.n_threads), system
 
 
 def spec_to_dict(spec: CellSpec) -> Dict[str, Any]:
@@ -179,7 +246,6 @@ def resolve_replay_cell(
     trace's own metadata; the trace digest joins the cache key, so
     replaying an edited trace can never replay a stale result.
     """
-    from repro.experiments.runner import _scale, default_config
     from repro.replay import load_trace
 
     trace = load_trace(trace_path)
@@ -198,99 +264,6 @@ def resolve_replay_cell(
         replay_trace_path=os.path.abspath(trace_path),
         trace_digest=trace.digest(),
     )
-
-
-def _run_replay_payload(payload: Dict[str, Any], started: float) -> Dict[str, Any]:
-    """Replay-cell worker body: drive the design from the recorded trace."""
-    from repro.core.designs import make_system
-    from repro.experiments.serialize import config_from_dict
-    from repro.replay import load_trace, replay_trace
-
-    system = make_system(
-        payload["design"], config_from_dict(payload["config_dict"])
-    )
-    result = replay_trace(system, load_trace(payload["replay_trace_path"]))
-    return {
-        "result": run_result_to_dict(result),
-        "seconds": time.perf_counter() - started,
-        "trace_path": None,
-    }
-
-
-def _run_cell_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point: simulate one cell from its serialized spec.
-
-    Must stay a module-level function so it pickles under every
-    multiprocessing start method; returns plain dicts for the same
-    reason.  Wall time is measured here so the report reflects the
-    simulation itself, not pool queueing.
-
-    When the payload carries a ``trace_path`` the cell runs with tracing
-    enabled and exports a Chrome trace there.  Tracing is inert
-    (test-enforced), so the result — and hence the cache entry — is
-    bit-identical either way and the cache key needs no trace field.
-    """
-    from repro.experiments.runner import run_design_system
-
-    from repro.experiments.megagrid import apply_injected_fault
-
-    started = time.perf_counter()
-    apply_injected_fault(payload)
-    if payload.get("replay_trace_path") is not None:
-        return _run_replay_payload(payload, started)
-    trace_path = payload.get("trace_path")
-    trace = None
-    if trace_path is not None:
-        from repro.trace import TraceConfig
-
-        trace = TraceConfig(enabled=True)
-    result, system = run_design_system(
-        payload["design"],
-        payload["workload"],
-        DatasetSize[payload["dataset"]],
-        config=config_from_dict(payload["config_dict"]),
-        params=params_from_dict(payload["params_dict"]),
-        n_transactions=payload["n_transactions"],
-        n_threads=payload["n_threads"],
-        trace=trace,
-    )
-    bus = system.tracer
-    if bus is not None and trace_path is not None:
-        from repro.trace import write_chrome_trace
-
-        write_chrome_trace(
-            trace_path,
-            bus.events,
-            design=payload["design"],
-            workload=payload["workload"],
-            dropped=bus.dropped,
-        )
-    return {
-        "result": run_result_to_dict(result),
-        "seconds": time.perf_counter() - started,
-        "trace_path": trace_path,
-    }
-
-
-def _payload(spec: CellSpec, trace_path: Optional[str] = None) -> Dict[str, Any]:
-    return {
-        "design": spec.design,
-        "workload": spec.workload,
-        "dataset": spec.dataset.name,
-        "config_dict": spec.config_dict,
-        "params_dict": spec.params_dict,
-        "n_transactions": spec.n_transactions,
-        "n_threads": spec.n_threads,
-        "trace_path": trace_path,
-        "replay_trace_path": spec.replay_trace_path,
-    }
-
-
-def _trace_path(trace_dir: Optional[str], spec: CellSpec) -> Optional[str]:
-    """Deterministic artifact path for one cell's Chrome trace."""
-    if trace_dir is None:
-        return None
-    return os.path.join(trace_dir, "%s.trace.json" % spec.key())
 
 
 @dataclass
@@ -318,11 +291,19 @@ class CellReport:
 
 @dataclass
 class GridReport:
-    """Observability for one engine invocation."""
+    """Observability for one engine invocation.
+
+    ``failures`` holds the typed
+    :class:`~repro.experiments.megagrid.CellFailure` of every cell that
+    produced no result (fail-soft runs only); ``resumed`` marks a run
+    resumed from its shard manifest.
+    """
 
     cells: List[CellReport] = field(default_factory=list)
     jobs: int = 1
     wall_seconds: float = 0.0
+    failures: List[Any] = field(default_factory=list)
+    resumed: bool = False
 
     @property
     def hits(self) -> int:
@@ -341,7 +322,7 @@ class GridReport:
         return sum(c.seconds for c in self.cells if not c.cached)
 
     def summary(self) -> str:
-        return (
+        text = (
             "grid: %d cells, %d simulated, %d cache hits, jobs=%d, "
             "%.2fs wall (%.2fs simulated)"
             % (
@@ -353,14 +334,11 @@ class GridReport:
                 self.simulated_seconds,
             )
         )
-
-
-@dataclass
-class GridOutcome:
-    """Results keyed like run_grid, plus the execution report."""
-
-    results: Dict[str, Dict[str, RunResult]]
-    report: GridReport
+        if self.resumed:
+            text += " [resumed]"
+        if self.failures:
+            text += ", %d FAILED" % len(self.failures)
+        return text
 
 
 def run_cells(
@@ -369,21 +347,23 @@ def run_cells(
     cache: Optional[ResultCache] = None,
     trace_dir: Optional[str] = None,
 ) -> Tuple[List[RunResult], GridReport]:
-    """Execute cells (cache-first, then pool) preserving input order.
+    """Execute cells (cache-first, then inline or pool) in input order.
 
-    Delegates to the mega-grid engine (:mod:`repro.experiments.megagrid`)
+    Runs on the sweep engine (:func:`repro.experiments.megagrid.run_megagrid`)
     in fail-fast mode: every returned result aligns with its input spec,
     duplicate specs are simulated exactly once (later indices fan out
     from the first — see ``CellReport.deduped``), completed cells stream
-    into the cache as they finish, and a failing cell raises instead of
-    silently shifting later results onto the wrong specs.
+    into the cache as they finish, and a failing cell raises
+    :class:`~repro.experiments.megagrid.CellExecutionError` instead of
+    silently shifting later results onto the wrong specs.  ``jobs=1``
+    runs inline; ``None`` uses every CPU core.
 
-    ``trace_dir`` opts into trace capture: every simulated cell also
-    writes ``<trace_dir>/<key>.trace.json``.  Cached cells are not
-    re-simulated — their report records the artifact path only if a
-    previous traced run left it on disk.
+    ``trace_dir`` opts into trace capture: every simulated cell — direct
+    or replay — also writes ``<trace_dir>/<key>.trace.json``.  Cached
+    cells are not re-simulated — their report records the artifact path
+    only if a previous traced run left it on disk.
     """
-    from repro.experiments.megagrid import GridAssemblyError, run_megagrid
+    from repro.experiments.megagrid import run_megagrid
 
     outcome = run_megagrid(
         list(specs),
@@ -391,52 +371,6 @@ def run_cells(
         cache=cache,
         trace_dir=trace_dir,
         retries=0,
-        timeout_s=None,
         fail_soft=False,
     )
-    missing = [i for i, r in enumerate(outcome.results) if r is None]
-    if missing:
-        # Unreachable in fail-fast mode (the engine raises first); kept
-        # so a dropped cell can never corrupt positional assembly.
-        raise GridAssemblyError(
-            "run_cells: %d cell(s) absent at indices %s"
-            % (len(missing), missing)
-        )
     return list(outcome.results), outcome.report
-
-
-def run_grid_parallel(
-    designs: Iterable[str],
-    workloads: Iterable[str],
-    dataset: DatasetSize = DatasetSize.SMALL,
-    scale=None,
-    config=None,
-    params: Optional[WorkloadParams] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    trace_dir: Optional[str] = None,
-) -> GridOutcome:
-    """Parallel, cached drop-in for :func:`repro.experiments.runner.run_grid`.
-
-    Returns the same ``{workload: {design: RunResult}}`` mapping (wrapped
-    in a :class:`GridOutcome` next to its report) with bit-identical
-    stats regardless of ``jobs``.  ``trace_dir`` opts into per-cell trace
-    artifacts (see :func:`run_cells`).
-    """
-    designs = list(designs)
-    workloads = list(workloads)
-    specs = [
-        resolve_cell(design, workload, dataset, scale, config, params)
-        for workload in workloads
-        for design in designs
-    ]
-    flat, report = run_cells(specs, jobs=jobs, cache=cache, trace_dir=trace_dir)
-    results: Dict[str, Dict[str, RunResult]] = {}
-    index = 0
-    for workload in workloads:
-        row: Dict[str, RunResult] = {}
-        for design in designs:
-            row[design] = flat[index]
-            index += 1
-        results[workload] = row
-    return GridOutcome(results=results, report=report)

@@ -7,9 +7,13 @@ convergence test in ``tests/test_experiments.py``).  Set the environment
 variable ``REPRO_SCALE`` (float, default 1.0) to scale every transaction
 count up or down.
 
-``run_grid`` accepts ``jobs``/``cache`` and delegates to the parallel
-engine (:mod:`repro.experiments.parallel`) when either is set; results
-are bit-identical either way because every cell is seeded.
+This module holds the scale and defaults a cell resolves against
+(:func:`resolve_counts`, :func:`resolve_params`, :func:`default_config`)
+and the two convenience entry points, :func:`run_design` (one cell) and
+:func:`run_grid` (designs x workloads).  Both resolve every cell through
+:func:`repro.experiments.parallel.resolve_cell` and run it on that
+module's one cell runner, so results are bit-identical to the sweep
+engine's for any ``jobs``.
 """
 
 import os
@@ -19,9 +23,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
-from repro.core.designs import make_system
 from repro.core.system import RunResult
-from repro.workloads.base import DatasetSize, WorkloadParams, make_workload
+from repro.workloads.base import DatasetSize, WorkloadParams
 
 
 def _scale() -> float:
@@ -127,43 +130,19 @@ def run_design(
 ) -> RunResult:
     """Run one (design, workload, dataset) cell.
 
-    ``trace`` takes a :class:`repro.trace.TraceConfig`; tracing is inert
-    (test-enforced), so traced and traceless runs return identical
-    results.  :func:`run_design_system` also returns the system, whose
-    ``tracer`` holds the bus.
+    Resolves through :func:`repro.experiments.parallel.resolve_cell` and
+    runs on :func:`repro.experiments.parallel.run_cell`, which also
+    returns the system.  ``trace`` takes a
+    :class:`repro.trace.TraceConfig`; tracing is inert (test-enforced),
+    so traced and traceless runs return identical results.
     """
-    return run_design_system(
+    from repro.experiments.parallel import resolve_cell, run_cell
+
+    spec = resolve_cell(
         design, workload_name, dataset, scale, config, params,
-        n_threads, n_transactions, trace,
-    )[0]
-
-
-def run_design_system(
-    design: str,
-    workload_name: str,
-    dataset: DatasetSize = DatasetSize.SMALL,
-    scale: Optional[ExperimentScale] = None,
-    config: Optional[SystemConfig] = None,
-    params: Optional[WorkloadParams] = None,
-    n_threads: Optional[int] = None,
-    n_transactions: Optional[int] = None,
-    trace=None,
-):
-    """Run one cell and return ``(RunResult, System)``.
-
-    The system gives callers the post-run machine state the result alone
-    cannot: the trace bus, and host-side diagnostics such as the codec
-    memo counters (``system.controller.nvm.memo_stats()``).
-    """
-    n_transactions, n_threads = resolve_counts(
-        workload_name, dataset, scale, n_transactions, n_threads
+        n_transactions=n_transactions, n_threads=n_threads,
     )
-    config = config if config is not None else default_config()
-    params = resolve_params(params, dataset)
-    system = make_system(design, config, trace=trace)
-    workload = make_workload(workload_name, params)
-    result = system.run(workload, n_transactions, n_threads)
-    return result, system
+    return run_cell(spec, trace)[0]
 
 
 def run_grid(
@@ -178,23 +157,27 @@ def run_grid(
 ) -> Dict[str, Dict[str, RunResult]]:
     """Run the full grid; returns {workload: {design: RunResult}}.
 
-    ``jobs`` > 1 fans the cells out over a process pool and ``cache`` (a
-    :class:`repro.experiments.cache.ResultCache`) reuses previous results;
-    both paths produce bit-identical stats.
+    Every cell resolves through ``resolve_cell`` and runs on
+    ``run_cells``: inline when ``jobs`` is None or 1, over a pool of
+    ``jobs`` workers otherwise, with results bit-identical either way.
+    ``cache`` (a :class:`repro.experiments.cache.ResultCache`) reuses
+    previous results.  A failing cell raises
+    :class:`repro.experiments.megagrid.CellExecutionError`.
     """
-    if jobs is not None and jobs != 1 or cache is not None:
-        from repro.experiments.parallel import run_grid_parallel
+    from repro.experiments.parallel import resolve_cell, run_cells
 
-        return run_grid_parallel(
-            designs, workloads, dataset, scale, config, params,
-            jobs=jobs, cache=cache,
-        ).results
-    results: Dict[str, Dict[str, RunResult]] = {}
-    for workload in workloads:
-        row: Dict[str, RunResult] = {}
-        for design in designs:
-            row[design] = run_design(
-                design, workload, dataset, scale, config, params
-            )
-        results[workload] = row
-    return results
+    designs = list(designs)
+    workloads = list(workloads)
+    specs = [
+        resolve_cell(design, workload, dataset, scale, config, params)
+        for workload in workloads
+        for design in designs
+    ]
+    flat, _report = run_cells(
+        specs, jobs=1 if jobs is None else jobs, cache=cache
+    )
+    cells = iter(flat)
+    return {
+        workload: {design: next(cells) for design in designs}
+        for workload in workloads
+    }

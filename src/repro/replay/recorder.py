@@ -117,37 +117,35 @@ def record_trace(
 ):
     """Run one grid cell with recording on; returns (trace, result, system).
 
-    Mirrors :func:`repro.experiments.runner.run_design_system` exactly —
-    same config/params/scale resolution, same run loop — so the recorded
-    run's RunResult is the one the direct path would have produced.
+    Resolves through :func:`repro.experiments.parallel.resolve_cell` and
+    builds with :func:`repro.experiments.parallel.build_cell`, the
+    builder of the one cell runner, so the recorded run's RunResult is
+    the one the direct path would have produced.
     """
-    from repro.experiments.runner import (
-        default_config,
-        resolve_counts,
-        resolve_params,
-    )
-    from repro.core.designs import make_system
-    from repro.workloads.base import DatasetSize, make_workload
+    from repro.experiments.parallel import build_cell, resolve_cell
+    from repro.workloads.base import DatasetSize
 
-    dataset = dataset if dataset is not None else DatasetSize.SMALL
-    n_transactions, n_threads = resolve_counts(
-        workload_name, dataset, scale, n_transactions, n_threads
+    spec = resolve_cell(
+        design,
+        workload_name,
+        dataset if dataset is not None else DatasetSize.SMALL,
+        scale,
+        config,
+        params,
+        n_transactions=n_transactions,
+        n_threads=n_threads,
     )
-    config = config if config is not None else default_config()
-    params = resolve_params(params, dataset)
-    system = make_system(design, config)
-    workload = make_workload(workload_name, params)
-
+    system, workload = build_cell(spec)
     recorder = TraceRecorder()
     system.recorder = recorder
     try:
-        result = system.run(workload, n_transactions, n_threads)
+        result = system.run(workload, spec.n_transactions, spec.n_threads)
     finally:
         system.recorder = None
     meta = {
         "design": design,
-        "n_threads": n_threads,
-        "n_transactions": n_transactions,
+        "n_threads": spec.n_threads,
+        "n_transactions": spec.n_transactions,
         "provenance": workload.trace_provenance(),
     }
     return recorder.finish(meta), result, system

@@ -179,31 +179,29 @@ def profile_design(
 ):
     """Run one cell under the profiler; returns (RunResult, ProfileReport).
 
-    Builds a fresh system (the shims do not survive ``reset_machine``,
-    so the profiled run must be the machine's first).
+    Resolves through :func:`repro.experiments.parallel.resolve_cell`, so
+    an explicit non-positive count raises ``ValueError``, and builds a
+    fresh system with :func:`repro.experiments.parallel.build_cell` (the
+    shims do not survive ``reset_machine``, so the profiled run must be
+    the machine's first).
     """
-    from repro.core.designs import make_system
-    from repro.experiments.runner import (
-        ExperimentScale,
-        MACRO_NAMES,
-        default_config,
-        resolve_params,
-    )
-    from repro.workloads.base import DatasetSize, make_workload
+    from repro.experiments.parallel import build_cell, resolve_cell
+    from repro.workloads.base import DatasetSize
 
-    dataset = dataset or DatasetSize.SMALL
-    scale = ExperimentScale()
-    macro = workload_name in MACRO_NAMES
-    system = make_system(design, config if config is not None else default_config())
-    workload = make_workload(workload_name, resolve_params(params, dataset))
+    spec = resolve_cell(
+        design,
+        workload_name,
+        dataset if dataset is not None else DatasetSize.SMALL,
+        config=config,
+        params=params,
+        n_transactions=n_transactions,
+        n_threads=n_threads,
+    )
+    system, workload = build_cell(spec)
     profiler = PhaseProfiler().install(system)
     try:
         with profiler:
-            result = system.run(
-                workload,
-                n_transactions or scale.transactions(macro, dataset),
-                n_threads or scale.threads(macro),
-            )
+            result = system.run(workload, spec.n_transactions, spec.n_threads)
     finally:
         profiler.uninstall()
     return result, profiler.report()

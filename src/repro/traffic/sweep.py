@@ -14,13 +14,12 @@ SLO table, and emits everything as BenchRecords for the PR-5
 observatory.
 """
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.records import HIGHER, INFO, LOWER, BenchRecord, record
 from repro.experiments.cache import PayloadCache, traffic_key_fields
-from repro.experiments.parallel import CellReport, GridReport, resolve_jobs
+from repro.experiments.parallel import GridReport
 from repro.experiments.serialize import (
     config_to_dict,
     stable_hash,
@@ -57,6 +56,25 @@ class TrafficCellSpec:
     def key(self) -> str:
         return stable_hash(self.key_fields())
 
+    def labels(self) -> Tuple[str, str, str]:
+        """``(design, workload, dataset)`` as reports and failures name it."""
+        return self.design, "mix", "traffic"
+
+    def execute(self, trace_path: Optional[str]) -> Dict[str, Any]:
+        """The engine's worker body: run this point, return its result dict.
+
+        Traffic cells export no Chrome trace; ``trace_path`` is unused.
+        """
+        from repro.experiments.serialize import config_from_dict
+
+        return run_traffic(
+            self.design,
+            traffic_config_from_dict(self.traffic_dict),
+            config=config_from_dict(self.config_dict),
+        ).to_dict()
+
+    decode = staticmethod(traffic_result_from_dict)
+
 
 def resolve_traffic_cell(
     design: str,
@@ -81,32 +99,6 @@ def resolve_traffic_cell(
     )
 
 
-def _run_traffic_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker entry point (module-level so it pickles everywhere)."""
-    from repro.experiments.megagrid import apply_injected_fault
-    from repro.experiments.serialize import config_from_dict
-
-    started = time.perf_counter()
-    apply_injected_fault(payload)
-    result = run_traffic(
-        payload["design"],
-        traffic_config_from_dict(payload["traffic_dict"]),
-        config=config_from_dict(payload["config_dict"]),
-    )
-    return {
-        "result": result.to_dict(),
-        "seconds": time.perf_counter() - started,
-    }
-
-
-def _payload(spec: TrafficCellSpec) -> Dict[str, Any]:
-    return {
-        "design": spec.design,
-        "traffic_dict": spec.traffic_dict,
-        "config_dict": spec.config_dict,
-    }
-
-
 def run_traffic_cells(
     specs: List[TrafficCellSpec],
     jobs: Optional[int] = None,
@@ -114,90 +106,25 @@ def run_traffic_cells(
     retries: int = 0,
     timeout_s: Optional[float] = None,
     fail_soft: bool = False,
-) -> Tuple[List[TrafficResult], "MegaGridReport"]:
-    """Execute traffic cells on the mega-grid engine, in input order.
+) -> Tuple[List[TrafficResult], GridReport]:
+    """Execute traffic cells on the sweep engine, in input order.
 
-    Per-future submission (not one batch ``pool.map``): each result
-    streams into the cache the moment its future resolves, duplicate
+    :func:`~repro.experiments.megagrid.run_megagrid` does the work: each
+    result streams into the cache the moment it finishes, duplicate
     specs are simulated once and fanned out, and with ``fail_soft=True``
     a crashing cell becomes a typed entry in ``report.failures`` while
-    every other cell completes.  The default stays fail-fast — load
-    sweeps index into the flat result list positionally, so an absent
-    cell raises :class:`~repro.experiments.megagrid.GridAssemblyError`
-    instead of silently shifting every later position.
+    every other cell completes, its position held by ``None``.  The
+    default stays fail-fast — load sweeps index into the flat result
+    list positionally, so a failing cell raises
+    :class:`~repro.experiments.megagrid.CellExecutionError` instead of
+    silently shifting every later position.
     """
-    from repro.experiments.megagrid import (
-        ExecutionPolicy,
-        GridAssemblyError,
-        MegaGridReport,
-        execute_payloads,
-    )
+    from repro.experiments.megagrid import run_megagrid
 
-    jobs = resolve_jobs(jobs)
-    report = MegaGridReport(jobs=jobs)
-    started = time.perf_counter()
-
-    keys = [spec.key() for spec in specs]
-    order: Dict[str, List[int]] = {}
-    for i, key in enumerate(keys):
-        order.setdefault(key, []).append(i)
-
-    results: List[Optional[TrafficResult]] = [None] * len(specs)
-    reports: List[Optional[CellReport]] = [None] * len(specs)
-    to_run: List[str] = []
-    for key, indices in order.items():
-        spec = specs[indices[0]]
-        cached = (
-            cache.get_payload(key, decode=traffic_result_from_dict)
-            if cache is not None else None
-        )
-        if cached is None:
-            to_run.append(key)
-            continue
-        for position, i in enumerate(indices):
-            results[i] = cached
-            reports[i] = CellReport(
-                spec.design, "mix", "traffic", True, 0.0, key,
-                deduped=position > 0)
-
-    def handle_output(key: str, output: Dict[str, Any], attempts: int) -> None:
-        indices = order[key]
-        spec = specs[indices[0]]
-        result = traffic_result_from_dict(output["result"])
-        if cache is not None:
-            cache.put_payload(
-                key, output["result"], key_fields=spec.key_fields())
-        for position, i in enumerate(indices):
-            results[i] = result
-            reports[i] = CellReport(
-                spec.design, "mix", "traffic", position > 0,
-                output["seconds"] if position == 0 else 0.0, key,
-                deduped=position > 0)
-
-    entries = [(key, _payload(specs[order[key][0]])) for key in to_run]
-    _outputs, failure_map = execute_payloads(
-        entries,
-        _run_traffic_payload,
-        ExecutionPolicy(
-            jobs=jobs, retries=retries, timeout_s=timeout_s,
-            fail_soft=fail_soft),
-        describe=lambda key: (specs[order[key][0]].design, "mix", "traffic"),
-        on_output=handle_output,
-    )
-
-    report.cells = [r for r in reports if r is not None]
-    report.failures = list(failure_map.values())
-    report.wall_seconds = time.perf_counter() - started
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing and not fail_soft:
-        raise GridAssemblyError(
-            "run_traffic_cells: %d cell(s) absent at indices %s"
-            % (len(missing), missing))
-    # Positions are preserved even under fail_soft: a failed cell stays
-    # None at its own index (see report.failures) — compacting here
-    # would silently shift every later cell, the exact bug this engine
-    # exists to kill.
-    return results, report
+    outcome = run_megagrid(
+        list(specs), jobs=jobs, cache=cache, retries=retries,
+        timeout_s=timeout_s, fail_soft=fail_soft)
+    return outcome.results, outcome.report
 
 
 @dataclass

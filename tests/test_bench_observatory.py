@@ -514,14 +514,14 @@ def test_cli_bench_record_runs_a_cell(bench_dir, capsys):
 
 
 def test_metrics_snapshot_memo_key_canonical():
-    from repro.experiments.runner import run_design_system
+    from repro.experiments.parallel import resolve_cell, run_cell
     from repro.trace import metrics_snapshot
     from repro.workloads.base import DatasetSize
 
-    result, system = run_design_system(
+    result, system = run_cell(resolve_cell(
         "MorLog-SLDE", "queue", DatasetSize.SMALL,
         n_transactions=10, n_threads=1,
-    )
+    ))
     memo = system.controller.nvm.memo_stats()
     assert memo, "default config memoizes, stats must be non-empty"
     for counters in memo.values():

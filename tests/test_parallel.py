@@ -1,7 +1,8 @@
 """Parallel grid engine and result cache tests.
 
 The contract under test: a parallel run produces bit-identical
-``RunResult.stats`` to a sequential run of the same grid, and the
+``RunResult.stats`` to a sequential run of the same grid, every entry
+point that runs a cell agrees with every other, and the
 content-addressed cache returns equal results on hits while missing
 whenever any keyed input (config, params, scale, counts) changes.
 """
@@ -14,15 +15,20 @@ import pytest
 
 from repro.common.config import SystemConfig
 from repro.core.system import RunResult
-from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache, cell_key
+from repro.experiments.cache import CACHE_VERSION, CacheStats, ResultCache
 from repro.experiments.parallel import (
+    CellSpec,
     default_jobs,
     resolve_cell,
     resolve_jobs,
     run_cells,
-    run_grid_parallel,
 )
-from repro.experiments.runner import ExperimentScale, default_config, run_grid
+from repro.experiments.runner import (
+    ExperimentScale,
+    default_config,
+    run_design,
+    run_grid,
+)
 from repro.experiments.serialize import (
     canonical_json,
     config_from_dict,
@@ -40,6 +46,22 @@ TINY = ExperimentScale(
 )
 DESIGNS = ("FWB-CRADE", "MorLog-SLDE")
 WORKLOADS = ("hash", "queue")
+
+
+def _grid_cells(designs, workloads, jobs, cache=None):
+    """``resolve_cell`` + ``run_cells`` over a grid: (grid, report)."""
+    specs = [
+        resolve_cell(design, workload, DatasetSize.SMALL, TINY)
+        for workload in workloads
+        for design in designs
+    ]
+    flat, report = run_cells(specs, jobs=jobs, cache=cache)
+    cells = iter(flat)
+    grid = {
+        workload: {design: next(cells) for design in designs}
+        for workload in workloads
+    }
+    return grid, report
 
 
 def _assert_grids_identical(a, b):
@@ -95,7 +117,16 @@ class TestCellKey:
             repro_scale=1.0,
         )
         base.update(overrides)
-        return cell_key(**base)
+        return CellSpec(
+            design=base["design"],
+            workload=base["workload"],
+            dataset=base["dataset"],
+            config_dict=config_to_dict(base["config"]),
+            params_dict=params_to_dict(base["params"]),
+            n_transactions=base["n_transactions"],
+            n_threads=base["n_threads"],
+            repro_scale=base["repro_scale"],
+        ).key()
 
     def test_key_is_stable(self):
         assert self._key() == self._key()
@@ -166,34 +197,33 @@ class TestResultCache:
 class TestParallelDeterminism:
     @pytest.fixture(scope="class")
     def sequential(self):
-        return run_grid(DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY)
+        """The reference: a plain loop over run_design, no engine."""
+        return {
+            workload: {
+                design: run_design(design, workload, DatasetSize.SMALL, TINY)
+                for design in DESIGNS
+            }
+            for workload in WORKLOADS
+        }
 
     def test_jobs1_matches_sequential(self, sequential):
-        out = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=1
-        )
-        _assert_grids_identical(sequential, out.results)
+        grid, _report = _grid_cells(DESIGNS, WORKLOADS, jobs=1)
+        _assert_grids_identical(sequential, grid)
 
     def test_jobs4_matches_jobs1(self, sequential):
-        out = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=4
-        )
-        _assert_grids_identical(sequential, out.results)
-        assert out.report.jobs == 4
-        assert out.report.simulated_cells == len(DESIGNS) * len(WORKLOADS)
+        grid, report = _grid_cells(DESIGNS, WORKLOADS, jobs=4)
+        _assert_grids_identical(sequential, grid)
+        assert report.jobs == 4
+        assert report.simulated_cells == len(DESIGNS) * len(WORKLOADS)
 
     def test_fig12_micro_grid_parallel_identical(self):
         """Acceptance: the Fig-12 grid is bit-identical at jobs=1 and 4."""
         from repro.core.designs import DESIGN_NAMES
         from repro.experiments.figures import MICRO
 
-        grid1 = run_grid_parallel(
-            DESIGN_NAMES, MICRO, DatasetSize.SMALL, TINY, jobs=1
-        )
-        grid4 = run_grid_parallel(
-            DESIGN_NAMES, MICRO, DatasetSize.SMALL, TINY, jobs=4
-        )
-        _assert_grids_identical(grid1.results, grid4.results)
+        grid1, _report = _grid_cells(DESIGN_NAMES, MICRO, jobs=1)
+        grid4, _report = _grid_cells(DESIGN_NAMES, MICRO, jobs=4)
+        _assert_grids_identical(grid1, grid4)
 
     def test_run_grid_delegates_to_parallel(self, sequential):
         via_runner = run_grid(
@@ -205,17 +235,13 @@ class TestParallelDeterminism:
 class TestCachedGrid:
     def test_warm_rerun_executes_zero_cells(self, tmp_path, ):
         cache = ResultCache(cache_dir=str(tmp_path))
-        cold = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=2, cache=cache
-        )
-        assert cold.report.simulated_cells == len(DESIGNS) * len(WORKLOADS)
-        assert cold.report.hits == 0
-        warm = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=2, cache=cache
-        )
-        assert warm.report.simulated_cells == 0
-        assert warm.report.hits == len(DESIGNS) * len(WORKLOADS)
-        _assert_grids_identical(cold.results, warm.results)
+        cold, cold_report = _grid_cells(DESIGNS, WORKLOADS, jobs=2, cache=cache)
+        assert cold_report.simulated_cells == len(DESIGNS) * len(WORKLOADS)
+        assert cold_report.hits == 0
+        warm, warm_report = _grid_cells(DESIGNS, WORKLOADS, jobs=2, cache=cache)
+        assert warm_report.simulated_cells == 0
+        assert warm_report.hits == len(DESIGNS) * len(WORKLOADS)
+        _assert_grids_identical(cold, warm)
 
     def test_changed_config_misses(self, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))
@@ -306,12 +332,44 @@ class TestResolveCellValidation:
         assert spec.n_threads == TINY.threads(False)
 
 
+class TestOneExecutionPath:
+    """Every entry point that runs a cell runs the same simulation.
+
+    ``run_design``, ``run_cells`` inline and on a pool, ``record_trace``
+    and ``profile_design`` all resolve through ``resolve_cell`` and build
+    with ``build_cell``; a copy of the resolution or build code that
+    drifted would show up here as a different result.
+    """
+
+    def test_all_entry_points_agree(self):
+        from repro.replay import record_trace
+        from repro.trace import profile_design
+
+        cell = dict(n_transactions=12, n_threads=2)
+        spec = resolve_cell("MorLog-SLDE", "hash", DatasetSize.SMALL, **cell)
+        runs = {
+            "run_design": run_design(
+                "MorLog-SLDE", "hash", DatasetSize.SMALL, **cell),
+            "run_cells jobs=1": run_cells([spec], jobs=1)[0][0],
+            "run_cells jobs=2": run_cells([spec], jobs=2)[0][0],
+            "record_trace": record_trace(
+                "MorLog-SLDE", "hash", DatasetSize.SMALL, **cell)[1],
+            "profile_design": profile_design(
+                "MorLog-SLDE", "hash", DatasetSize.SMALL, **cell)[0],
+        }
+        reference = runs["run_design"]
+        assert reference.transactions == 12
+        for name, result in runs.items():
+            assert result.stats == reference.stats, name
+            assert result.elapsed_ns == reference.elapsed_ns, name
+
+
 class TestRunCellsStrict:
     """run_cells raises on a failing cell instead of silently dropping.
 
     Regression for the old ``[r for r in results if r is not None]``
     tail, which shifted every later result one position left and let
-    ``run_grid_parallel`` unflatten the wrong cells into the grid.
+    the grid assembly unflatten the wrong cells into the grid.
     """
 
     def test_worker_failure_raises_typed_error(self):
@@ -375,6 +433,13 @@ class TestJobsValidation:
         assert main(grid + ["--jobs", "1", "--shards", "-1"]) == 2
         assert "grid: shards must be a positive int, got -1" in (
             capsys.readouterr().out)
+        # Explicit counts: a usage error, not a traceback.
+        assert main(grid + ["--transactions", "0"]) == 2
+        assert "grid: n_transactions must be positive, got 0" in (
+            capsys.readouterr().out)
+        assert main(grid + ["--threads", "-1"]) == 2
+        assert "grid: n_threads must be positive, got -1" in (
+            capsys.readouterr().out)
 
 
 class TestEngineShape:
@@ -383,11 +448,9 @@ class TestEngineShape:
 
     def test_report_summary_renders(self, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))
-        out = run_grid_parallel(
-            ("FWB-CRADE",), ("queue",), DatasetSize.SMALL, TINY, jobs=1,
-            cache=cache,
-        )
-        text = out.report.summary()
+        _grid, report = _grid_cells(("FWB-CRADE",), ("queue",), jobs=1,
+                                    cache=cache)
+        text = report.summary()
         assert "1 simulated" in text and "0 cache hits" in text
 
     def test_resolve_cell_applies_scale_and_dataset(self):
@@ -467,16 +530,12 @@ class TestStatsKeyOrder:
 
     def test_jobs1_and_jobs4_serialize_identically(self):
         """Regression: key order in reports is identical across jobs."""
-        grid1 = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=1
-        )
-        grid4 = run_grid_parallel(
-            DESIGNS, WORKLOADS, DatasetSize.SMALL, TINY, jobs=4
-        )
-        for workload in grid1.results:
-            for design in grid1.results[workload]:
-                s1 = grid1.results[workload][design].stats
-                s4 = grid4.results[workload][design].stats
+        grid1, _report = _grid_cells(DESIGNS, WORKLOADS, jobs=1)
+        grid4, _report = _grid_cells(DESIGNS, WORKLOADS, jobs=4)
+        for workload in grid1:
+            for design in grid1[workload]:
+                s1 = grid1[workload][design].stats
+                s4 = grid4[workload][design].stats
                 assert list(s1) == list(s4), (workload, design)
                 assert canonical_json(s1) == canonical_json(s4)
 

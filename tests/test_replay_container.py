@@ -417,3 +417,21 @@ class TestCacheKeying:
         assert report.hits == 0 and report.simulated_cells == 1
         # Restore the shared fixture file for other tests.
         save_trace(path, trace)
+
+    def test_traced_replay_cell_writes_its_chrome_trace(
+        self, recorded, tmp_path
+    ):
+        """Replay cells run on the one cell runner, so ``trace_dir``
+        traces them like direct cells (it used to report no artifact)."""
+        _trace, path = recorded
+        spec = resolve_replay_cell("MorLog-SLDE", path, config=tiny_config())
+        trace_dir = tmp_path / "chrome"
+        traced, report = run_cells([spec], jobs=1, trace_dir=str(trace_dir))
+        artifact = trace_dir / ("%s.trace.json" % spec.key())
+        assert report.cells[0].trace_path == str(artifact)
+        with open(artifact) as handle:
+            assert json.load(handle)["traceEvents"]
+        # Tracing is inert: the traced replay scores like a plain one.
+        plain, _report = run_cells([spec], jobs=1)
+        assert traced[0].stats == plain[0].stats
+        assert traced[0].elapsed_ns == plain[0].elapsed_ns

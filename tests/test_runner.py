@@ -13,9 +13,9 @@ from repro.experiments.runner import (
     default_config,
     resolve_params,
     run_design,
-    run_design_system,
 )
 from repro.replay import record_trace
+from repro.trace import profile_design
 from repro.workloads.base import DatasetSize, WorkloadParams
 
 
@@ -120,12 +120,13 @@ class TestRunDesignPlumbing:
 
 
 class TestExplicitZeroCountsRejected:
-    """Regression: run_design_system and record_trace coerced an explicit
-    ``n_transactions=0`` / ``n_threads=0`` through ``or`` to the scale
-    default (240 transactions) instead of rejecting it as resolve_cell
-    does."""
+    """Regression: run_design, record_trace and profile_design coerced an
+    explicit ``n_transactions=0`` / ``n_threads=0`` through ``or`` to the
+    scale default (240 transactions) instead of rejecting it as
+    resolve_cell does.  All three now resolve through resolve_cell."""
 
-    @pytest.mark.parametrize("entry", [run_design_system, record_trace])
+    @pytest.mark.parametrize(
+        "entry", [run_design, record_trace, profile_design])
     @pytest.mark.parametrize("count", ["n_transactions", "n_threads"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_count_raises(self, entry, count, value):
