@@ -3,13 +3,12 @@
 Replay exists to score one recorded store stream against many designs
 and configs without paying the workload again: rebuilding the pre-run
 memory image becomes a vectorized bulk install
-(:func:`repro.replay.replayer.apply_trace_setup`) and the codec
-classification work is batch-prewarmed
-(:mod:`repro.replay.prewarm`), while everything the paper measures —
-caches, logger, NVM timing — still runs the production path.  This
-benchmark pins the throughput claim on a setup-heavy cell (the regime
-replay is for) with the same interleaved paired-min methodology as
-``test_codec_memo.py``, and re-checks bit-exactness while it is at it.
+(:func:`repro.replay.replayer.apply_trace_setup`), while everything the
+paper measures — caches, logger, NVM timing — still runs the production
+path.  This benchmark pins the throughput claim on a setup-heavy cell
+(the regime replay is for) with the same interleaved paired-min
+methodology as ``test_codec_memo.py``, and re-checks bit-exactness
+while it is at it.
 
 ``REPLAY_BENCH_SCALE`` (a float) shrinks the cell for smoke runs in CI,
 and ``REPLAY_MIN_SPEEDUP`` lowers the pass threshold there — at reduced
@@ -29,7 +28,6 @@ from repro.bench import INFO, record
 from repro.core.designs import make_system
 from repro.experiments.runner import default_config
 from repro.replay import record_trace, replay_trace
-from repro.replay.prewarm import prewarm_codecs
 from repro.workloads.base import WorkloadParams, make_workload
 
 ROUNDS = 3
@@ -120,7 +118,6 @@ def test_replay_speedup(benchmark):
     paired = [d / r for d, r in zip(times["direct"], times["replay"])]
     speedup = min(paired)
 
-    prewarm_stats = prewarm_codecs(make_system(DESIGN, config), trace)
     emit(
         "replay_speedup",
         format_table(
@@ -147,7 +144,6 @@ def test_replay_speedup(benchmark):
                     "setup_stores": int(trace.setup_addr.size),
                     "transactions": n_tx,
                     "trace_digest": trace.digest(),
-                    "prewarm": prewarm_stats,
                 },
             ),
         ],

@@ -274,11 +274,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument("trace", help="trace container to replay")
     rep_p.add_argument("--design", default="MorLog-SLDE", choices=ALL_DESIGNS)
-    rep_p.add_argument(
-        "--no-prewarm",
-        action="store_true",
-        help="skip the vectorized codec prewarm (results are identical)",
-    )
 
     fs_p = sub.add_parser(
         "fault-sweep",
@@ -1310,7 +1305,7 @@ def _cmd_replay(args) -> None:
 
     trace = load_trace(args.trace)
     system = make_system(args.design, default_config())
-    result = replay_trace(system, trace, prewarm=not args.no_prewarm)
+    result = replay_trace(system, trace)
     rows = [
         ["replayed transactions", result.transactions],
         ["throughput (tx/s)", result.throughput_tx_per_s],

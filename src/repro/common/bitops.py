@@ -6,7 +6,7 @@ and 64-byte *lines* represented as tuples of eight words.  All helpers here
 are pure functions so they can be property-tested in isolation.
 """
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 WORD_BITS = 64
 WORD_BYTES = 8
@@ -115,22 +115,6 @@ def words_to_line(words: Sequence[int]) -> bytes:
     if len(words) != WORDS_PER_LINE:
         raise ValueError("a cache line is exactly 8 words")
     return b"".join(mask_word(w).to_bytes(WORD_BYTES, "little") for w in words)
-
-
-def iter_bits(value: int, width: int) -> Iterable[int]:
-    """Yield the ``width`` low bits of ``value``, LSB first."""
-    for i in range(width):
-        yield (value >> i) & 1
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Inverse of :func:`iter_bits`."""
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        value |= bit << i
-    return value
 
 
 def split_cells(value: int, width_bits: int, bits_per_cell: int) -> List[int]:

@@ -159,7 +159,7 @@ class LoggingConfig:
     # "tx-table" keeps a per-transaction count of cache lines still
     # holding its updates and frees as soon as it reaches zero.
     truncation: str = "fwb-scan"
-    # --- Extension designs (comparative testbed, ROADMAP item 3) ---
+    # --- Extension designs (the comparative persistence-design testbed) ---
     # InCLL-CRADE: embedded undo slots reserved per cache line; stores
     # beyond this count within one epoch overflow to the central log.
     incll_slots_per_line: int = 2
@@ -264,8 +264,3 @@ def tlc_levels_sorted_by_latency() -> Tuple[int, ...]:
     of levels; this ordering defines those subsets.
     """
     return tuple(sorted(TLC_WRITE_LATENCY_NS, key=TLC_WRITE_LATENCY_NS.get))
-
-
-def tlc_levels_sorted_by_energy() -> Tuple[int, ...]:
-    """TLC levels from cheapest to most expensive program energy."""
-    return tuple(sorted(TLC_WRITE_ENERGY_PJ, key=TLC_WRITE_ENERGY_PJ.get))

@@ -12,9 +12,9 @@ MorLog-SLDE     MorLog         SLDE        our logger + our codec
 MorLog-DP       MorLog         SLDE        + delay-persistence commit
 ==============  =============  ==========  =====================================
 
-Beyond the paper's six, the comparative persistence-design testbed
-(ROADMAP item 3) adds ablation baselines and three extension designs,
-all built through the same factory:
+Beyond the paper's six, the comparative persistence-design testbed adds
+ablation baselines and three extension designs, all built through the
+same factory:
 
 ==============  ==================  =====================================
 Design          Logger              Mechanism

@@ -401,9 +401,9 @@ class System:
     def reset_machine(self) -> None:
         """Rebuild every substrate, as if the System were freshly built.
 
-        :meth:`run` cold-resets a reused machine through here so a second
-        run sees exactly what a fresh System would — cold caches, an
-        empty log region, pristine NVM cells — instead of inheriting the
+        :meth:`start_run` cold-resets a reused machine through here so a
+        second run sees exactly what a fresh System would — cold caches,
+        an empty log region, pristine NVM cells — instead of inheriting the
         previous run's residue.  Rebuilding via the constructor makes
         that equivalence hold by construction; externally installed taps
         (trace, crash hook, crash plan) survive the rebuild.
@@ -428,11 +428,11 @@ class System:
     def reset_measurement(self) -> None:
         """Zero all counters, clocks and run-loop state.
 
-        Called after workload setup, and again at the top of every
-        :meth:`run` — a reused System must not inherit the previous run's
-        FWB schedule, truncation epochs, staged non-temporal stores or
-        transaction-table bookkeeping, or its second run diverges from a
-        fresh machine's (regression-tested in tests/test_system.py).
+        :meth:`start_run` calls it once the set-up is in place — a reused
+        System must not inherit the previous run's FWB schedule,
+        truncation epochs, staged non-temporal stores or transaction-table
+        bookkeeping, or its second run diverges from a fresh machine's
+        (regression-tested in tests/test_system.py).
         """
         self.stats.reset()
         self.controller.nvm.timing.reset()
@@ -509,10 +509,14 @@ class System:
     # Run loop
     # ------------------------------------------------------------------
 
-    def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
-        """Set up ``workload`` and execute ``n_transactions`` across threads."""
-        if n_threads is None:
-            n_threads = self.config.cores.n_cores
+    def start_run(self, n_threads: int, setup: Callable[[], None]) -> None:
+        """Open a run on ``n_threads`` cores.
+
+        Checks the thread count, cold-resets a machine that already ran,
+        calls ``setup()`` (the caller's untimed population) and zeroes
+        measurement.  Every driver opens its run here: :meth:`run`, trace
+        replay, the traffic engine and the fault sweep.
+        """
         if n_threads < 1:
             # 0 used to silently mean "all cores" via `n_threads or ...`,
             # turning a caller's arithmetic bug into an 8-thread run.
@@ -522,9 +526,33 @@ class System:
         if self._ran:
             self.reset_machine()
         self._ran = True
-        workload.setup(self, n_threads)
+        setup()
         self.reset_measurement()
         self._active_threads = n_threads
+
+    def measured(self, dispatched: int) -> RunResult:
+        """The run's result so far: ``dispatched`` transactions, timed to
+        the slowest active core."""
+        return RunResult(
+            transactions=dispatched,
+            elapsed_ns=max(self.core_time_ns[: self._active_threads]),
+            stats=self.stats.as_dict(),
+        )
+
+    def drain(self, now_ns: float) -> None:
+        """Close a run: persist every buffered entry and dirty line."""
+        end = self.logger.drain(now_ns)
+        end = self.hierarchy.drain_all(end)
+        if self._tx_table:
+            # Every line is persistent now; the table can free everything
+            # committed.
+            self._truncate_log(end)
+
+    def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
+        """Set up ``workload`` and execute ``n_transactions`` across threads."""
+        if n_threads is None:
+            n_threads = self.config.cores.n_cores
+        self.start_run(n_threads, lambda: workload.setup(self, n_threads))
         dispatched = 0
         while dispatched < n_transactions:
             core = min(range(n_threads), key=self.core_time_ns.__getitem__)
@@ -536,19 +564,9 @@ class System:
         # line and buffered entry) exists for post-run invariants and
         # recovery tests, and would otherwise swamp short runs with an
         # end-of-run write burst.
-        elapsed = max(self.core_time_ns[:n_threads])
-        measured = self.stats.as_dict()
-        end = self.logger.drain(elapsed)
-        end = self.hierarchy.drain_all(end)
-        if self._tx_table:
-            # Every line is persistent now; the table can free everything
-            # committed.
-            self._truncate_log(end)
-        return RunResult(
-            transactions=dispatched,
-            elapsed_ns=elapsed,
-            stats=measured,
-        )
+        result = self.measured(dispatched)
+        self.drain(result.elapsed_ns)
+        return result
 
     # ------------------------------------------------------------------
     # Crash / recovery support

@@ -47,10 +47,9 @@ _BYTE_LANES = 0x0101_0101_0101_0101
 def fpc_match(word: int) -> int:
     """Return the FPC prefix for the smallest pattern matching ``word``.
 
-    The patterns are tested in priority order by arithmetic, as
-    :func:`repro.encoding.vector.vec_fpc_prefix` tests them over arrays:
-    a word fits *n* signed bits iff ``(word + 2**(n-1)) & WORD_MASK`` is
-    below ``2**n``.
+    The patterns are tested in priority order by arithmetic: a word
+    fits *n* signed bits iff ``(word + 2**(n-1)) & WORD_MASK`` is below
+    ``2**n``.
     """
     word &= WORD_MASK
     if word < 256:
@@ -131,8 +130,8 @@ class FpcCodec(WordCodec):
     def encode_classified(self, word: int, prefix: int) -> EncodedWord:
         """Encode a 64-bit ``word`` whose FPC prefix is already known.
 
-        The compute step of :meth:`encode`; the replay prewarm calls it
-        with prefixes from :func:`~repro.encoding.vector.vec_fpc_prefix`.
+        The compute step of :meth:`encode`, shared by its memoized and
+        unmemoized paths.
         """
         # The prefix lives in the per-word tag cells (CompEx stores
         # compression tags in a separate tag array); the payload alone

@@ -1,11 +1,10 @@
-"""Vectorized (numpy) encoding kernels for the replay fast path.
+"""Vectorized (numpy) encoding kernels for store-stream statistics.
 
-The scalar codecs in this package encode one word at a time; a recorded
-trace (:mod:`repro.replay`) presents the whole store stream at once, so
-its hot path evaluates the codec *classification* work — FPC prefix
-classes, the DLDC Table-II pattern search, BDI delta fits, dirty-byte
-masks, DCW/Flip-N-Write bit-flip counts — as batched numpy array ops and
-only materializes payloads for the (few) distinct winners.
+A recorded trace (:mod:`repro.replay`) holds the old/new word of every
+persistent transactional store, so the motivation statistics
+(:mod:`repro.analysis.motivation`: Fig 5 clean bytes, Table II DLDC
+patterns) classify the whole stream at once as numpy array ops instead
+of one scalar codec call per store.
 
 Every kernel mirrors one scalar function bit for bit:
 
@@ -13,42 +12,22 @@ Every kernel mirrors one scalar function bit for bit:
 kernel                scalar reference
 ====================  =======================================
 vec_dirty_byte_mask   repro.common.bitops.dirty_byte_mask
-vec_bit_flips         repro.common.bitops.flipped_bits
-vec_fpc_prefix        repro.encoding.fpc.fpc_match
-vec_bdi_tag           repro.encoding.bdi.bdi_compress (tag)
 vec_dldc_pattern      repro.encoding.dldc.dldc_compress_pattern
 vec_dldc_stream_bits  repro.encoding.dldc.DldcCodec._encode_dirty
-vec_flipnwrite_flip   repro.encoding.flipnwrite.FlipNWriteCodec
 ====================  =======================================
 
 The equivalence is pinned by the Hypothesis differential suite in
-``tests/test_vector_codecs.py``; the memo-prewarm layer built on top
-(:mod:`repro.replay.prewarm`) additionally relies on the PR-4 invariant
-that memoized results are bit-identical to computed ones, so a kernel
-bug would surface as a replay-differential failure, never as silently
-different results.
+``tests/test_vector_codecs.py``.
 """
 
 from typing import Tuple
 
 import numpy as np
 
-from repro.encoding.fpc import FPC_PREFIX_PAYLOAD_BITS
-from repro.encoding.memo import (
-    BYTE_FITS_SE2,
-    BYTE_FITS_SE4,
-    BYTE_LOW_NIBBLE_ZERO,
-    FPC_SMALL_WORD_PREFIX,
-)
+from repro.encoding.memo import BYTE_FITS_SE2, BYTE_FITS_SE4, BYTE_LOW_NIBBLE_ZERO
 
 __all__ = [
     "vec_dirty_byte_mask",
-    "vec_bit_flips",
-    "vec_flipnwrite_flip",
-    "vec_fpc_prefix",
-    "FPC_PREFIX_PAYLOAD_BITS",
-    "vec_bdi_tag",
-    "BDI_TAG_PAYLOAD_BITS",
     "vec_dldc_pattern",
     "vec_dldc_stream_bits",
 ]
@@ -59,7 +38,7 @@ def _as_u64(values) -> "np.ndarray":
 
 
 # ---------------------------------------------------------------------------
-# Dirty masks and bit flips
+# Dirty masks
 # ---------------------------------------------------------------------------
 
 def vec_dirty_byte_mask(old, new) -> "np.ndarray":
@@ -70,101 +49,6 @@ def vec_dirty_byte_mask(old, new) -> "np.ndarray":
         byte = (diff >> np.uint64(8 * i)) & np.uint64(0xFF)
         mask |= (byte != 0).astype(np.uint8) << np.uint8(i)
     return mask
-
-
-def vec_bit_flips(old, new) -> "np.ndarray":
-    """DCW-programmed bit count per word pair (mirrors flipped_bits)."""
-    return np.bitwise_count(_as_u64(old) ^ _as_u64(new))
-
-
-def vec_flipnwrite_flip(old, new) -> "np.ndarray":
-    """True where Flip-N-Write would store the complement."""
-    o = _as_u64(old)
-    n = _as_u64(new)
-    plain = np.bitwise_count(o ^ n)
-    inverted = np.bitwise_count(o ^ ~n)
-    return inverted < plain
-
-
-# ---------------------------------------------------------------------------
-# FPC prefix classes
-# ---------------------------------------------------------------------------
-
-def _vec_fits_signed(w: "np.ndarray", bits: int) -> "np.ndarray":
-    """fits_signed(word, bits, 64) over a uint64 array."""
-    low = w & np.uint64((1 << bits) - 1)
-    sign = (low >> np.uint64(bits - 1)) & np.uint64(1)
-    fill = np.uint64(((1 << (64 - bits)) - 1) << bits)
-    return (low | (sign * fill)) == w
-
-
-_FPC_SMALL = None
-
-
-def vec_fpc_prefix(words) -> "np.ndarray":
-    """FPC prefix class per word (mirrors fpc_match, priority included)."""
-    global _FPC_SMALL
-    w = _as_u64(words)
-    if _FPC_SMALL is None:
-        _FPC_SMALL = np.array(FPC_SMALL_WORD_PREFIX, dtype=np.uint8)
-    repeated = w == (w & np.uint64(0xFF)) * np.uint64(0x0101_0101_0101_0101)
-    conditions = [
-        w == 0,
-        _vec_fits_signed(w, 4),
-        repeated,
-        _vec_fits_signed(w, 8),
-        _vec_fits_signed(w, 16),
-        _vec_fits_signed(w, 32),
-        (w & np.uint64(0xFFFF_FFFF)) == 0,
-    ]
-    choices = [0b000, 0b001, 0b110, 0b010, 0b011, 0b100, 0b101]
-    out = np.select(conditions, choices, default=0b111).astype(np.uint8)
-    small = w < 256
-    if small.any():
-        out[small] = _FPC_SMALL[w[small].astype(np.intp)]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# BDI scheme tags
-# ---------------------------------------------------------------------------
-
-#: BDI tag -> payload bits (tag 2 is unused, parallel to bdi_compress).
-BDI_TAG_PAYLOAD_BITS = (0, 16, 0, 48, 64, 64)
-
-
-def vec_bdi_tag(words) -> "np.ndarray":
-    """BDI scheme tag per word (mirrors bdi_compress's tag choice)."""
-    w = _as_u64(words)
-    tag = np.full(w.shape, 5, dtype=np.uint8)
-
-    # Assign in reverse priority so the scalar search's first match wins.
-    lanes4 = [
-        ((w >> np.uint64(32 * i)) & np.uint64(0xFFFF_FFFF)).astype(np.int64)
-        for i in range(2)
-    ]
-    ok4 = np.ones(w.shape, dtype=bool)
-    for lane in lanes4:
-        delta = (lane - lanes4[0]) & (1 << 32) - 1
-        signed = np.where(delta >= 1 << 31, delta - (1 << 32), delta)
-        ok4 &= (signed >= -(1 << 15)) & (signed < (1 << 15))
-    tag[ok4] = 4
-
-    lanes2 = [
-        ((w >> np.uint64(16 * i)) & np.uint64(0xFFFF)).astype(np.int64)
-        for i in range(4)
-    ]
-    ok3 = np.ones(w.shape, dtype=bool)
-    ok1 = np.ones(w.shape, dtype=bool)
-    for lane in lanes2:
-        delta = (lane - lanes2[0]) & (1 << 16) - 1
-        signed = np.where(delta >= 1 << 15, delta - (1 << 16), delta)
-        ok3 &= (signed >= -128) & (signed < 128)
-        ok1 &= lane == lanes2[0]
-    tag[ok3] = 3
-    tag[ok1] = 1
-    tag[w == 0] = 0
-    return tag
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ MOTIVATION_WORKLOADS = (
 
 BASELINE = "FWB-CRADE"
 
-#: The paper's six designs plus the comparative-testbed extensions
-#: (ROADMAP item 3) — the design axis of the fig12x/fig13x variants.
+#: The paper's six designs plus the comparative-testbed extensions —
+#: the design axis of the fig12x/fig13x variants.
 #: Kept separate from DESIGN_NAMES so the paper-shaped tables and their
 #: golden outputs are untouched.
 COMPARISON_DESIGN_NAMES = DESIGN_NAMES + EXTENSION_DESIGN_NAMES

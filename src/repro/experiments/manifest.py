@@ -1,6 +1,6 @@
 """Shard manifests: the on-disk ground truth of a mega-grid sweep.
 
-A 10k+-cell sweep (designs × workloads × configs, ROADMAP item 4) runs
+A 10k+-cell mega-grid sweep (designs × workloads × configs) runs
 across long wall-clock windows and must survive crashes, so the full
 work list is written to disk *before* execution as a manifest of
 content-addressed cell keys: every cell's serialized

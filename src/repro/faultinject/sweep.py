@@ -267,9 +267,12 @@ def _drive(
 ) -> None:
     """Run the workload with ``plan`` installed, mirroring System.run.
 
-    The plan goes in only after setup (setup stores are untimed and
-    unlogged, hence crash-free by construction).  Raises CrashInjected or
-    _SweepAbort out of the loop; normal completion returns None.
+    The run opens through ``System.start_run``; the dispatch loop is the
+    sweep's own, because it reports each commit to ``tracker`` before
+    the force-write-back scan.  The plan goes in only after setup (setup
+    stores are untimed and unlogged, hence crash-free by construction).
+    Raises CrashInjected or _SweepAbort out of the loop; normal
+    completion returns None.
 
     ``trace`` (a :class:`repro.replay.StoreTrace`) swaps the workload for
     a recorded store stream: setup replays the trace's setup stores and
@@ -280,17 +283,16 @@ def _drive(
     """
     bodies = cores = None
     if trace is None:
-        workload.setup(system, options.threads)
+        system.start_run(
+            options.threads, lambda: workload.setup(system, options.threads))
         limit = options.transactions
     else:
         from repro.replay.replayer import apply_trace_setup, trace_transaction_bodies
 
-        apply_trace_setup(system, trace)
+        system.start_run(options.threads, lambda: apply_trace_setup(system, trace))
         bodies = trace_transaction_bodies(trace)
         cores = trace.tx_core.tolist()
         limit = min(options.transactions, len(bodies))
-    system.reset_measurement()
-    system._active_threads = options.threads
     system.trace = tracker
     system.install_crash_plan(plan)
     try:

@@ -11,11 +11,7 @@ that split explicit:
   :class:`~repro.core.system.System` plus :func:`record_trace`, which
   runs one cell with recording on;
 - :mod:`repro.replay.replayer` — :func:`replay_trace`, which re-drives a
-  machine from a trace, mirroring ``System.run`` bit for bit;
-- :mod:`repro.replay.prewarm` — the vectorized encoding fast path: batch
-  classification of the trace's word pairs (numpy kernels from
-  :mod:`repro.encoding.vector`) used to pre-populate the result-inert
-  codec memos before the replay loop starts.
+  machine from a trace through ``System``'s own run frame, bit for bit.
 
 Record → replay equivalence (same design and config: identical
 RunResult, NVM image, trace events, fault-sweep outcomes) is pinned by
@@ -34,7 +30,6 @@ from repro.replay.container import (
 )
 from repro.replay.recorder import TraceRecorder, record_trace
 from repro.replay.replayer import apply_trace_setup, replay_trace, trace_transaction_bodies
-from repro.replay.prewarm import prewarm_codecs
 
 __all__ = [
     "StoreTrace",
@@ -50,5 +45,4 @@ __all__ = [
     "replay_trace",
     "apply_trace_setup",
     "trace_transaction_bodies",
-    "prewarm_codecs",
 ]

@@ -12,8 +12,9 @@ A :class:`StoreTrace` holds one recorded run as parallel numpy columns:
   stream plus the core each transaction was dispatched on, preserving
   the recording run's interleaving;
 - ``pair_old`` / ``pair_new`` — the old/new word of every transactional
-  store to persistent memory, the raw material of the vectorized
-  encoding fast path (dirty masks, codec prewarm).
+  store to persistent memory, which the motivation statistics
+  (:mod:`repro.analysis.motivation`: dirty masks, Table-II patterns)
+  read.
 
 On disk the container is ``MLTR`` magic + a canonical JSON header
 (version, provenance metadata, column specs, payload SHA-256) + the raw

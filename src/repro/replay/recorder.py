@@ -10,8 +10,8 @@ normal timed run from two vantage points:
 - the :class:`~repro.core.system.System` taps capture the *dispatch
   order* (which core ran each transaction, preserving the recording
   run's interleaving) and the old/new word of every persistent
-  transactional store (the raw material for the vectorized encoding
-  fast path).
+  transactional store, which the motivation statistics
+  (:mod:`repro.analysis.motivation`) read.
 
 Recording does not perturb the run: the hooks only append to Python
 lists, and the recorded run's RunResult is bit-identical to an

@@ -11,9 +11,8 @@ produce a bit-identical RunResult, NVM image and event trace, while a
 Fig 12/13 sweeps over one traffic pattern).
 
 The only new cost model is "no cost": workload setup becomes a flat
-array replay instead of Python data-structure construction, and the
-optional codec prewarm (:mod:`repro.replay.prewarm`) batch-classifies
-the trace's word pairs before the loop starts.  Both are result-inert.
+array install instead of Python data-structure construction, which is
+result-inert.
 """
 
 from typing import Callable, List
@@ -90,44 +89,23 @@ def trace_transaction_bodies(trace: StoreTrace) -> List[Callable]:
     return bodies
 
 
-def replay_trace(system, trace: StoreTrace, prewarm: bool = True) -> RunResult:
+def replay_trace(system, trace: StoreTrace) -> RunResult:
     """Execute ``trace`` on ``system``; the replay-side ``System.run``.
 
-    Mirrors the run loop stage for stage (cold reset, setup, measurement
-    reset, dispatch loop, drain) so a replayed same-design run is
-    bit-identical to the recording run.  ``prewarm=False`` skips the
-    vectorized codec prewarm (results never depend on it).
+    Opens and closes the run through the same ``System`` calls as the
+    run loop, and dispatches through ``dispatch_transaction``, so a
+    replayed same-design run is bit-identical to the recording run and
+    a recorder attached to ``system`` records the trace again.
     """
-    n_threads = trace.n_threads
-    if n_threads > system.config.cores.n_cores:
+    if trace.n_threads > system.config.cores.n_cores:
         raise TraceError(
             "trace was recorded with %d threads; system has %d cores"
-            % (n_threads, system.config.cores.n_cores)
+            % (trace.n_threads, system.config.cores.n_cores)
         )
-    if system._ran:
-        system.reset_machine()
-    system._ran = True
-    apply_trace_setup(system, trace)
-    system.reset_measurement()
-    system._active_threads = n_threads
-    if prewarm:
-        from repro.replay.prewarm import prewarm_codecs
-
-        prewarm_codecs(system, trace)
+    system.start_run(trace.n_threads, lambda: apply_trace_setup(system, trace))
     bodies = trace_transaction_bodies(trace)
-    cores = trace.tx_core.tolist()
-    dispatched = 0
-    for core, body in zip(cores, bodies):
-        system.run_transaction(core, body)
-        dispatched += 1
-    elapsed = max(system.core_time_ns[:n_threads]) if n_threads else 0.0
-    measured = system.stats.as_dict()
-    end = system.logger.drain(elapsed)
-    end = system.hierarchy.drain_all(end)
-    if system._tx_table:
-        system._truncate_log(end)
-    return RunResult(
-        transactions=dispatched,
-        elapsed_ns=elapsed,
-        stats=measured,
-    )
+    for core, body in zip(trace.tx_core.tolist(), bodies):
+        system.dispatch_transaction(core, body)
+    result = system.measured(len(bodies))
+    system.drain(result.elapsed_ns)
+    return result

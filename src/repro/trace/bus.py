@@ -54,13 +54,18 @@ class TraceBus:
         name: str,
         category: str,
         ts_ns: float,
+        /,
         core: Optional[int] = None,
         txid: Optional[int] = None,
         addr: Optional[int] = None,
         dur_ns: float = 0.0,
         **args: Any,
     ) -> None:
-        """Publish one event; never raises on a full ring (drops oldest)."""
+        """Publish one event; never raises on a full ring (drops oldest).
+
+        ``name``, ``category`` and ``ts_ns`` are positional-only so that
+        event args may themselves be called ``name`` or ``category``.
+        """
         categories = self.config.categories
         if categories is not None and category not in categories:
             return

@@ -4,9 +4,9 @@ Runs an open-loop scenario, cuts power once a chosen fraction of the
 arrivals has been dispatched — i.e. mid-backlog, when the log region is
 as full as the offered load can make it — then measures log occupancy
 and runs recovery.  Sweeping the offered load yields the
-recovery-time-vs-log-occupancy curve ROADMAP item 1 asks for: higher
-load → deeper queues → more in-flight/undrained transactions at the cut
-→ more live log entries → more recovery work.
+recovery-time-vs-log-occupancy curve: higher load → deeper queues →
+more in-flight/undrained transactions at the cut → more live log
+entries → more recovery work.
 """
 
 from dataclasses import dataclass, replace

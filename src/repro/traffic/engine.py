@@ -193,15 +193,10 @@ def run_traffic_system(
 
         config = default_config()
     system = make_system(design, config)
-    if traffic.n_threads > system.config.cores.n_cores:
-        raise ValueError("more threads than cores")
-
     mixture = MixtureWorkload(
         params=traffic.workload_params(), blend=traffic.mix)
-    system._ran = True
-    mixture.setup(system, traffic.n_threads)
-    system.reset_measurement()
-    system._active_threads = traffic.n_threads
+    system.start_run(
+        traffic.n_threads, lambda: mixture.setup(system, traffic.n_threads))
 
     seed = traffic.seed * 1_000_003
     arrivals = make_arrivals(
@@ -281,16 +276,13 @@ def run_traffic_system(
         crashed = True
 
     admitted = traffic.arrivals - dropped
-    makespan = max(system.core_time_ns[: traffic.n_threads]) if completed else 0.0
-    measured = system.stats.as_dict()
+    measured = system.measured(completed)
+    makespan = measured.elapsed_ns if completed else 0.0
     if not crashed:
-        # Mirror System.run: drain for post-run invariants, but only on
-        # clean completion — a crashed machine must keep its persistence
-        # domain exactly as the power cut left it for recovery.
-        end = system.logger.drain(makespan)
-        end = system.hierarchy.drain_all(end)
-        if system._tx_table:
-            system._truncate_log(end)
+        # Drain as System.run does, but only on clean completion — a
+        # crashed machine must keep its persistence domain exactly as
+        # the power cut left it for recovery.
+        system.drain(makespan)
 
     result = TrafficResult(
         design=design,
@@ -315,7 +307,7 @@ def run_traffic_system(
         drops_by_core=tuple(drops_by_core),
         completions_by_tenant=tuple(completions_by_tenant),
         drops_by_tenant=tuple(drops_by_tenant),
-        stats=measured,
+        stats=measured.stats,
     )
     return result, system
 

@@ -33,11 +33,6 @@ def test_record_and_replay_roundtrip(tmp_path, capsys):
     assert main(["replay", path, "--design", "FWB-CRADE"]) == 0
     out = capsys.readouterr().out
     assert "replayed transactions" in out
-    # Replay without the codec prewarm is result-identical by contract;
-    # the flag must at least parse and run.
-    assert main(["replay", path, "--design", "MorLog-SLDE",
-                 "--no-prewarm"]) == 0
-    assert "replayed transactions" in capsys.readouterr().out
 
 
 def test_grid_command_cold_then_warm(tmp_path, capsys):

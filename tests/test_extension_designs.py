@@ -1,4 +1,4 @@
-"""Tests for the comparative persistence-design testbed (ROADMAP item 3).
+"""Tests for the comparative persistence-design testbed.
 
 The three extension designs — InCLL-CRADE (embedded per-line undo slots),
 CoW-Page (copy-on-write shadow paging) and Ckpt-Undo (undo logging with

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.encoding.fpc import (
     FPC_PATTERNS,
+    FPC_PREFIX_PAYLOAD_BITS,
     FpcCodec,
     fpc_compress,
     fpc_decompress,
@@ -12,6 +13,18 @@ from repro.encoding.fpc import (
 )
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+#: One word per FPC prefix, each matching no smaller pattern.
+REPRESENTATIVES = {
+    0b000: 0,
+    0b001: 7,
+    0b010: 0x7F,
+    0b011: 0x7FFF,
+    0b100: 0x7FFF_FFFF,
+    0b101: 0x1234_5678_0000_0000,
+    0b110: 0xABAB_ABAB_ABAB_ABAB,
+    0b111: 0x0123_4567_89AB_CDEF,
+}
 
 
 class TestPatternMatching:
@@ -76,11 +89,15 @@ class TestCodec:
 
     def test_sizes_match_pattern_table(self):
         codec = FpcCodec()
+        assert set(REPRESENTATIVES) == set(FPC_PATTERNS)
         for prefix, (_name, bits) in FPC_PATTERNS.items():
-            if prefix == 0b111:
-                continue
-        encoded = codec.encode(0x7F)  # se8
-        assert encoded.payload_bits == 8
+            word = REPRESENTATIVES[prefix]
+            assert fpc_match(word) == prefix
+            encoded = codec.encode(word)
+            assert encoded.tag_payload == prefix
+            assert encoded.payload_bits == bits
+            assert FPC_PREFIX_PAYLOAD_BITS[prefix] == bits
+            assert codec.decode(encoded) == word
 
     def test_decode_rejects_foreign_encoding(self):
         from repro.encoding.base import RawCodec

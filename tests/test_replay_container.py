@@ -298,6 +298,14 @@ class TestEdgeShapes:
         assert result.transactions == 0
         assert result.elapsed_ns == 0.0
 
+    def test_zero_thread_trace_fails_like_run(self):
+        # Replay opens its run through System.start_run, so a header of
+        # 0 threads fails as System.run(n_threads=0) does.
+        empty = StoreTrace(meta={"n_threads": 0},
+                           **{name: [] for name in COLUMN_NAMES})
+        with pytest.raises(ValueError, match="n_threads must be >= 1, got 0"):
+            replay_trace(make_system("MorLog-SLDE", tiny_config()), empty)
+
     def test_empty_transactions_replay(self, recorded):
         # Append two empty transactions (tx with zero ops) to a real
         # trace; they must replay as real begin/commit pairs.

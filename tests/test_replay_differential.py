@@ -2,11 +2,11 @@
 
 The replay subsystem (:mod:`repro.replay`) claims a recorded trace can
 stand in for the workload: same RunResult, same NVM image, same trace
-events, same crash-recovery and fault-sweep outcomes, with or without
-the vectorized codec prewarm.  These tests pin that claim across the
-four logger families of the paper's evaluation, plus the golden trace
-digest (regenerate with ``tests/make_golden_replay.py``) and the
-machine-reuse regression for back-to-back replays.
+events, same crash-recovery and fault-sweep outcomes.  These tests pin
+that claim across the four logger families of the paper's evaluation,
+plus recording a replay on every design, the golden trace digest
+(regenerate with ``tests/make_golden_replay.py``) and the machine-reuse
+regression for back-to-back replays.
 """
 
 import json
@@ -16,15 +16,14 @@ import sys
 
 import pytest
 
-from repro.core.designs import make_system
+from repro.core.designs import available_designs, make_system
 from repro.core.system import CrashInjected
 from repro.faultinject.sweep import (
     SweepOptions,
     run_sweep,
     sweep_system_config,
 )
-from repro.replay import record_trace, replay_trace
-from repro.replay.prewarm import prewarm_codecs
+from repro.replay import TraceRecorder, record_trace, replay_trace
 from repro.replay.replayer import apply_trace_setup, trace_transaction_bodies
 from repro.trace.bus import TraceConfig
 from repro.workloads.base import WorkloadParams, make_workload
@@ -92,28 +91,6 @@ class TestSameDesignBitExact:
         assert_results_equal(replayed, direct_result)
         assert nvm_image(replay_sys) == nvm_image(direct_sys)
 
-    @pytest.mark.parametrize("design", DESIGNS)
-    def test_prewarm_is_result_inert(self, design):
-        trace, _result, _sys = record_cell(design)
-        warm_sys = make_system(design, tiny_config())
-        cold_sys = make_system(design, tiny_config())
-        warm = replay_trace(warm_sys, trace, prewarm=True)
-        cold = replay_trace(cold_sys, trace, prewarm=False)
-        assert_results_equal(warm, cold)
-        assert nvm_image(warm_sys) == nvm_image(cold_sys)
-
-    def test_prewarm_actually_seeds_and_hits(self):
-        trace, _result, _sys = record_cell("MorLog-SLDE")
-        system = make_system("MorLog-SLDE", tiny_config())
-        stats = prewarm_codecs(system, trace)
-        assert stats["pairs"] > 0
-        assert stats["slde_seeded"] > 0
-        assert stats["data_seeded"] > 0
-        system2 = make_system("MorLog-SLDE", tiny_config())
-        replay_trace(system2, trace, prewarm=True)
-        memo_stats = system2.controller.nvm.log_codec.memo_stats()
-        assert memo_stats["log"]["hits"] > 0
-
     def test_trace_event_streams_identical(self):
         trace, _result, _sys = record_cell("MorLog-SLDE")
         direct_sys, _ = direct_run(
@@ -139,12 +116,33 @@ class TestCrossDesignReplay:
             sys_a = make_system(design, tiny_config())
             sys_b = make_system(design, tiny_config())
             a = replay_trace(sys_a, trace)
-            b = replay_trace(sys_b, trace, prewarm=False)
+            b = replay_trace(sys_b, trace)
             assert_results_equal(a, b)
             assert nvm_image(sys_a) == nvm_image(sys_b)
             elapsed[design] = a.elapsed_ns
         # The designs are genuinely different machines.
         assert len(set(elapsed.values())) > 1
+
+
+@pytest.fixture(scope="module")
+def slde_trace():
+    trace, _result, _sys = record_cell("MorLog-SLDE")
+    return trace
+
+
+class TestRecordingAReplay:
+    @pytest.mark.parametrize("design", available_designs(True, True))
+    def test_rerecorded_trace_equals_original(self, design, slde_trace):
+        # A replay dispatches through the run loop's seam, so a recorder
+        # on the replaying machine sees the recorded stream again, on
+        # any design, and recording it leaves the result alone.
+        system = make_system(design, tiny_config())
+        system.recorder = TraceRecorder()
+        recorded = replay_trace(system, slde_trace)
+        again = system.recorder.finish(slde_trace.meta)
+        assert again.digest() == slde_trace.digest()
+        plain = replay_trace(make_system(design, tiny_config()), slde_trace)
+        assert_results_equal(recorded, plain)
 
 
 def run_crashing(system, schedule, crash_at):
@@ -176,9 +174,8 @@ class TestCrashRecoveryEquality:
         # schedule and this one are the same stream.
         direct_sys = make_system(design, tiny_config())
         workload = make_workload("hash", cell_params(seed=5))
-        workload.setup(direct_sys, N_THREADS)
-        direct_sys.reset_measurement()
-        direct_sys._active_threads = N_THREADS
+        direct_sys.start_run(
+            N_THREADS, lambda: workload.setup(direct_sys, N_THREADS))
 
         def direct_schedule():
             for _ in range(N_TX):
@@ -191,9 +188,8 @@ class TestCrashRecoveryEquality:
 
         # Replay side: same machine state rebuilt from the trace.
         replay_sys = make_system(design, tiny_config())
-        apply_trace_setup(replay_sys, trace)
-        replay_sys.reset_measurement()
-        replay_sys._active_threads = N_THREADS
+        replay_sys.start_run(
+            N_THREADS, lambda: apply_trace_setup(replay_sys, trace))
         schedule = zip(trace.tx_core.tolist(), trace_transaction_bodies(trace))
         run_crashing(replay_sys, schedule, crash_at)
         replay_state = replay_sys.recover(verify_decode=True)

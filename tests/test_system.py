@@ -180,7 +180,6 @@ class TestSystemBasics:
         hook_calls = []
         system.trace = sentinel
         system.crash_hook = lambda: hook_calls.append(1)
-        system._ran = True
         system.reset_machine()
         assert system.trace is sentinel
         assert system.crash_hook is not None
@@ -261,6 +260,125 @@ class TestRunLoop:
         assert a.elapsed_ns == b.elapsed_ns
         assert a.nvmm_writes == b.nvmm_writes
         assert a.stats == b.stats
+
+
+def queue_workload():
+    return make_workload(
+        "queue", WorkloadParams(initial_items=16, key_space=64)
+    )
+
+
+def commit_words(system, n_words):
+    """One transaction on core 0 storing 1..n to consecutive NVM words."""
+    base = system.config.nvmm_base
+    addrs = [base + 8 * i for i in range(n_words)]
+    system.begin_tx(0)
+    for value, addr in enumerate(addrs, start=1):
+        system.store_word(0, addr, value)
+    system.end_tx(0)
+    return addrs
+
+
+class TestRunFrame:
+    """start_run / measured / drain: the frame every driver runs in."""
+
+    @pytest.mark.parametrize("n_threads", [0, 5])
+    def test_bad_thread_count_rejected_before_setup(self, n_threads):
+        system = make_tiny_system()  # 4 cores
+        calls = []
+        with pytest.raises(ValueError):
+            system.start_run(n_threads, lambda: calls.append(1))
+        assert calls == []
+
+    def test_setup_runs_before_reset_measurement(self):
+        # An instance replacement of reset_measurement must be the one the
+        # open call reaches, after the caller's set-up.
+        system = make_tiny_system()
+        order = []
+        reset = system.reset_measurement
+
+        def recording_reset():
+            order.append("reset")
+            reset()
+
+        system.reset_measurement = recording_reset
+        system.start_run(2, lambda: order.append("setup"))
+        assert order == ["setup", "reset"]
+
+    def test_setup_work_is_not_measured(self):
+        system = make_tiny_system()
+        addr = system.config.nvmm_base
+        system.start_run(2, lambda: system.store_word(0, addr, 7))
+        assert system.stats.get("stores") == 0
+        assert system.core_time_ns == [0.0] * system.config.cores.n_cores
+        assert system.coherent_word(addr) == 7
+
+    def test_reused_machine_is_cold_before_setup(self):
+        system = make_tiny_system()
+        addr = system.config.nvmm_base
+        system.start_run(1, lambda: system.setup_store(addr, 5))
+        assert system.setup_load(addr) == 5
+        seen = []
+        system.start_run(1, lambda: seen.append(system.setup_load(addr)))
+        assert seen == [make_tiny_system().setup_load(addr)]
+        assert seen != [5]
+
+    def test_measured_times_only_active_cores(self):
+        system = make_tiny_system()
+        system.start_run(2, lambda: None)
+        system.core_time_ns[1] = 40.0
+        system.core_time_ns[3] = 99.0  # an idle core's clock is not the run's
+        result = system.measured(5)
+        assert result.transactions == 5
+        assert result.elapsed_ns == 40.0
+
+    def test_measured_is_a_snapshot_the_drain_leaves_alone(self):
+        system = make_tiny_system()
+        system.start_run(1, lambda: None)
+        commit_words(system, 8)
+        result = system.measured(1)
+        before = dict(result.stats)
+        system.drain(result.elapsed_ns)
+        assert result.stats == before
+        assert system.stats.as_dict() != before  # the drain wrote back
+
+    def test_drain_persists_every_dirty_line(self):
+        system = make_tiny_system()
+        system.start_run(1, lambda: None)
+        addrs = commit_words(system, 8)
+        assert any(
+            system.persistent_word(a) != v for v, a in enumerate(addrs, 1)
+        )
+        system.drain(system.core_time_ns[0])
+        assert [system.persistent_word(a) for a in addrs] == list(
+            range(1, len(addrs) + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "policy, emptied", [("tx-table", True), ("fwb-scan", False)]
+    )
+    def test_drain_frees_the_log_only_under_the_tx_table(self, policy, emptied):
+        system = make_tiny_system(truncation=policy)
+        system.start_run(1, lambda: None)
+        commit_words(system, 8)
+        system.drain(system.core_time_ns[0])
+        assert (system.log_region.used_slots() == 0) == emptied
+
+    def test_run_is_the_frame_around_the_dispatch_loop(self):
+        expected_sys = make_tiny_system()
+        expected = expected_sys.run(queue_workload(), 30, n_threads=2)
+        system = make_tiny_system()
+        workload = queue_workload()
+        system.start_run(2, lambda: workload.setup(system, 2))
+        for _ in range(30):
+            core = min(range(2), key=system.core_time_ns.__getitem__)
+            system.dispatch_transaction(core, workload.transaction(core))
+        result = system.measured(30)
+        system.drain(result.elapsed_ns)
+        assert result.transactions == expected.transactions
+        assert result.elapsed_ns == expected.elapsed_ns
+        assert result.stats == expected.stats
+        assert system.stats.as_dict() == expected_sys.stats.as_dict()
 
 
 class TestCleanShutdownRecovery:

@@ -63,6 +63,15 @@ class TestBus:
         assert bus.events[1].args["n_stores"] == 3
         assert len(bus) == 2 and bus.emitted == 2
 
+    def test_args_may_share_emit_parameter_names(self):
+        # Only txid/addr/ts_ns/dur_ns/core are reserved; an arg called
+        # name, category or self is schema-valid and must reach the event.
+        bus = TraceBus()
+        bus.emit("log-wrap", "log", 2.0, name="x", category=1, self=True)
+        event = bus.events[0]
+        assert (event.name, event.category, event.ts_ns) == ("log-wrap", "log", 2.0)
+        assert event.args == {"name": "x", "category": 1, "self": True}
+
     def test_ring_bounds_and_counts_drops(self):
         bus = TraceBus(TraceConfig(enabled=True, capacity=4))
         for i in range(10):

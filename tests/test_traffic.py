@@ -185,10 +185,7 @@ class TestDispatchSeam:
         system = make_system("MorLog-SLDE", tiny_config())
         workload = make_workload(
             "hash", WorkloadParams(initial_items=16, key_space=64))
-        system._ran = True
-        workload.setup(system, 2)
-        system.reset_measurement()
-        system._active_threads = 2
+        system.start_run(2, lambda: workload.setup(system, 2))
         return system, workload
 
     def test_idle_core_starts_at_arrival(self):
