@@ -77,6 +77,10 @@ class System:
         self.stats = StatGroup("system")
         self.controller = MemoryController(config, self.stats)
         log_base = config.nvmm_base + config.nvm.size_bytes
+        # Log slots fill densely from the region base: keep them by page.
+        self.controller.nvm.array.store_by_page(
+            log_base, log_base + config.logging.log_region_bytes
+        )
         if config.logging.distributed_logs:
             self.log_region = LogRegionSet(
                 self.controller,
@@ -540,13 +544,20 @@ class System:
         )
 
     def drain(self, now_ns: float) -> None:
-        """Close a run: persist every buffered entry and dirty line."""
+        """Close a run: persist every buffered entry and dirty line.
+
+        Then drop the host-side caches a finished machine no longer
+        needs (the codec and DCW memos, the logger's interned contexts);
+        their hit and miss counters stay.
+        """
         end = self.logger.drain(now_ns)
         end = self.hierarchy.drain_all(end)
         if self._tx_table:
             # Every line is persistent now; the table can free everything
             # committed.
             self._truncate_log(end)
+        self.controller.nvm.clear_memos()
+        self.logger.clear_context_cache()
 
     def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
         """Set up ``workload`` and execute ``n_transactions`` across threads."""

@@ -114,6 +114,16 @@ class WordCodec:
         memo = getattr(self, "_memo", None)
         return {"encode": memo.stats()} if memo is not None else {}
 
+    def clear_memos(self) -> None:
+        """Drop the entries of this codec's memo layer(s).
+
+        Result-inert: the next encodes recompute what the entries held.
+        The hit, miss and eviction counters stay.
+        """
+        memo = getattr(self, "_memo", None)
+        if memo is not None:
+            memo.clear()
+
 
 class RawCodec(WordCodec):
     """No compression: 64 payload bits, raw 3-bits-per-cell mapping."""

@@ -114,6 +114,10 @@ class LruMemo:
         Diagnostics only — never part of run results (memoization is
         result-inert), but surfaced through ``metrics_snapshot``'s
         ``memo`` key so benchmark records capture cache effectiveness.
+        ``entries`` is the memo's current size: :meth:`clear` (which
+        ``System.drain`` calls at the end of every run) empties it and
+        leaves the other counters as they were, so a finished run reads
+        ``entries`` 0.
         """
         return {
             "entries": len(self._data),

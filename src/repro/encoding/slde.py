@@ -90,6 +90,13 @@ class SldeCodec(WordCodec):
             stats["alternative.%s" % name] = counters
         return dict(sorted(stats.items()))
 
+    def clear_memos(self) -> None:
+        """Drop the decision memos' and the alternative's entries."""
+        for memo in (self._log_memo, self._pair_memo):
+            if memo is not None:
+                memo.clear()
+        self._alternative.clear_memos()
+
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
         """Non-log data bypass DLDC and use the alternative codec."""
         return self._alternative.encode(word, old_word)

@@ -14,18 +14,7 @@ enable one outside tests or the ``repro fault-sweep --mutant`` flag.
 from typing import Callable, Dict
 
 from repro.logging_hw.entries import EntryType
-from repro.nvm.array import WriteCost
 from repro.nvm.timing import WriteSchedule
-from repro.nvm.module import WriteResult
-
-
-def _fake_result(now_ns: float) -> WriteResult:
-    """A WriteResult for a write that never reached NVMM."""
-    return WriteResult(
-        schedule=WriteSchedule(accept_ns=now_ns, finish_ns=now_ns, stall_ns=0.0),
-        cost=WriteCost.zero(),
-        encoded_words=(),
-    )
 
 
 def _drop_entries(system, types) -> None:
@@ -41,9 +30,9 @@ def _drop_entries(system, types) -> None:
     def mutated(entry, now_ns):
         if entry.type in types:
             logger.stats.add("mutant_dropped_entries")
-            result = _fake_result(now_ns)
-            logger._entry_persisted(entry, result, now_ns)
-            return result
+            logger._entry_persisted(entry, now_ns)
+            # The schedule of a write that never reached NVMM.
+            return WriteSchedule(accept_ns=now_ns, finish_ns=now_ns, stall_ns=0.0)
         return original(entry, now_ns)
 
     logger.persist_entry = mutated

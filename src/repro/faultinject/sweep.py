@@ -335,8 +335,16 @@ def run_sweep(
     """Sweep every (or a budgeted subset of) crash points for one design.
 
     ``trace`` drives both passes from a recorded store stream instead of
-    re-running the workload (see :func:`_drive`).
+    re-running the workload (see :func:`_drive`).  It must have been
+    recorded on ``options.threads`` threads: its transactions run on
+    their recorded cores while the force-write-back schedule follows the
+    sweep's thread count.
     """
+    if trace is not None and trace.n_threads != options.threads:
+        raise ValueError(
+            "trace was recorded on %d threads, the sweep runs %d"
+            % (trace.n_threads, options.threads)
+        )
     selected: Optional[Set[int]] = None
     if options.budget > 0:
         # Counting pre-pass: the run is deterministic, so the event total

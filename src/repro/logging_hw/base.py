@@ -11,7 +11,8 @@ from repro.encoding.slde import LogWriteContext
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
-from repro.nvm.module import LogDataWord, WriteResult
+from repro.nvm.module import LogDataWord
+from repro.nvm.timing import WriteSchedule
 
 # Fixed pipeline cost of executing the commit sequence, in cycles.
 COMMIT_OVERHEAD_CYCLES = 10
@@ -154,13 +155,17 @@ class HardwareLogger(CacheListener):
             redo=value,
             dirty_mask=0xFF,
         )
-        result = self.persist_entry(entry, now_ns)
+        schedule = self.persist_entry(entry, now_ns)
         self.stats.add("nt_stores")
-        return now_ns + result.schedule.stall_ns
+        return now_ns + schedule.stall_ns
 
     # ------------------------------------------------------------------
     # Shared log-write plumbing
     # ------------------------------------------------------------------
+
+    def clear_context_cache(self) -> None:
+        """Drop the interned contexts (result-inert; see _log_context)."""
+        self._context_cache.clear()
 
     def _log_context(self, entry: LogEntry) -> Optional[LogWriteContext]:
         if not self.use_dirty_flags:
@@ -177,7 +182,7 @@ class HardwareLogger(CacheListener):
             self._context_cache[key] = context
         return context
 
-    def persist_entry(self, entry: LogEntry, now_ns: float) -> WriteResult:
+    def persist_entry(self, entry: LogEntry, now_ns: float) -> WriteSchedule:
         """Write one buffer entry to the log region."""
         plan = self.crash_plan
         if plan is not None:
@@ -187,7 +192,7 @@ class HardwareLogger(CacheListener):
         if entry.type is EntryType.UNDO_REDO:
             undo = LogDataWord(entry.undo, context)
         redo = LogDataWord(entry.redo, context)
-        result = self.region.append(entry, now_ns, undo=undo, redo=redo)
+        schedule = self.region.append(entry, now_ns, undo=undo, redo=redo)
         self.stats.add("entries_persisted")
         if plan is not None:
             point = (
@@ -203,20 +208,20 @@ class HardwareLogger(CacheListener):
                 now_ns,
                 txid=entry.txid,
                 addr=entry.addr,
-                dur_ns=result.schedule.stall_ns,
+                dur_ns=schedule.stall_ns,
                 slots=entry.type.n_slots,
             )
-        self._entry_persisted(entry, result, now_ns)
-        return result
+        self._entry_persisted(entry, now_ns)
+        return schedule
 
-    def _entry_persisted(self, entry: LogEntry, result: WriteResult, now_ns: float) -> None:
+    def _entry_persisted(self, entry: LogEntry, now_ns: float) -> None:
         """Subclass hook: update L1 word states after a persist."""
 
-    def persist_commit(self, record: CommitRecord, now_ns: float) -> WriteResult:
+    def persist_commit(self, record: CommitRecord, now_ns: float) -> WriteSchedule:
         plan = self.crash_plan
         if plan is not None:
             plan.fire("commit-record", txid=record.txid)
-        result = self.region.append(record, now_ns)
+        schedule = self.region.append(record, now_ns)
         self.stats.add("commits_persisted")
         if plan is not None:
             plan.fire("commit-persisted", txid=record.txid)
@@ -226,10 +231,10 @@ class HardwareLogger(CacheListener):
                 "log",
                 now_ns,
                 txid=record.txid,
-                dur_ns=result.schedule.stall_ns,
+                dur_ns=schedule.stall_ns,
                 timestamp=record.timestamp,
             )
-        return result
+        return schedule
 
     def next_commit_timestamp(self) -> int:
         self._commit_timestamp += 1
@@ -243,10 +248,10 @@ class HardwareLogger(CacheListener):
         """Persist a batch; returns (producer time, last persist-accept time)."""
         last_accept = now_ns
         for entry in entries:
-            result = self.persist_entry(entry, now_ns)
-            last_accept = max(last_accept, result.schedule.accept_ns)
+            schedule = self.persist_entry(entry, now_ns)
+            last_accept = max(last_accept, schedule.accept_ns)
             # Queue-full stalls hit the producer.
-            now_ns = max(now_ns, now_ns + result.schedule.stall_ns)
+            now_ns = max(now_ns, now_ns + schedule.stall_ns)
         return now_ns, last_accept
 
     def _lookup_l1_line(self, tid: int, addr: int) -> Optional[CacheLine]:

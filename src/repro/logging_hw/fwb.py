@@ -104,10 +104,10 @@ class FwbLogger(HardwareLogger):
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, now_ns)
+        schedule = self.persist_commit(record, now_ns)
         # Undo+redo logging commits once all its log data are persistent
         # (Figure 1(e)); with ADR that is queue acceptance.
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         tx.committed = True
         tx.commit_ns = now_ns + self._commit_overhead_ns
         return tx.commit_ns

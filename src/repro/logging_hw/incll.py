@@ -157,10 +157,10 @@ class InCllLogger(HardwareLogger):
         if not restamp:
             if plan is not None:
                 plan.fire("embedded-write", txid=entry.txid, addr=entry.slot_addr)
-            result = self.controller.write_log_entry(
+            schedule = self.controller.nvm.write_log_entry(
                 entry.slot_addr, [entry.undo], now_ns, kind=WriteKind.LOG
             )
-            now_ns += result.schedule.stall_ns
+            now_ns += schedule.stall_ns
         meta = pack_embedded_meta(
             entry.word_index, entry.tid, entry.txid, self._epoch
         )
@@ -168,10 +168,10 @@ class InCllLogger(HardwareLogger):
             plan.fire(
                 "embedded-write", txid=entry.txid, addr=entry.slot_addr + WORD_BYTES
             )
-        result = self.controller.write_log_entry(
+        schedule = self.controller.nvm.write_log_entry(
             entry.slot_addr + WORD_BYTES, [meta], now_ns, kind=WriteKind.LOG
         )
-        return now_ns + result.schedule.stall_ns
+        return now_ns + schedule.stall_ns
 
     # ------------------------------------------------------------------
     # Hot path
@@ -221,7 +221,7 @@ class InCllLogger(HardwareLogger):
             redo=0,
             dirty_mask=0xFF,
         )
-        result = self.persist_entry(overflow, now_ns)
+        schedule = self.persist_entry(overflow, now_ns)
         self.stats.add("incll_overflows")
         if self.tracer is not None:
             self.tracer.emit(
@@ -229,7 +229,7 @@ class InCllLogger(HardwareLogger):
                 core=tx.tid, txid=tx.txid, addr=addr,
                 **{"from": "CLEAN", "to": "OVERFLOW"},
             )
-        return now_ns + result.schedule.stall_ns
+        return now_ns + schedule.stall_ns
 
     def commit_tx(self, tx: TransactionInfo, now_ns: float) -> float:
         last_accept = now_ns
@@ -244,8 +244,8 @@ class InCllLogger(HardwareLogger):
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, max(now_ns, last_accept))
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        schedule = self.persist_commit(record, max(now_ns, last_accept))
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         # Commit does not touch the embedded slots: they expire via the
         # epoch and become reusable the moment the holder is committed.
         self._committed.add(tx.txid)
@@ -271,10 +271,10 @@ class InCllLogger(HardwareLogger):
         self._epoch += 1
         if self.crash_plan is not None:
             self.crash_plan.fire("embedded-write", addr=self._aux_base)
-        result = self.controller.write_log_entry(
+        schedule = self.controller.nvm.write_log_entry(
             self._aux_base, [self._epoch], now_ns, kind=WriteKind.LOG
         )
-        now_ns += result.schedule.stall_ns
+        now_ns += schedule.stall_ns
         for txid, entries in self._tx_embedded.items():
             if txid in self._committed:
                 continue

@@ -36,7 +36,6 @@ from repro.logging_hw.buffers import LogBuffer
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
-from repro.nvm.module import WriteResult
 
 
 class MorLogLogger(HardwareLogger):
@@ -208,11 +207,11 @@ class MorLogLogger(HardwareLogger):
     def _persist_ur_entries(self, entries: List[LogEntry], now_ns: float) -> float:
         """Persist undo+redo entries and flip their words to URLOG."""
         for entry in entries:
-            result = self.persist_entry(entry, now_ns)
-            now_ns += result.schedule.stall_ns
+            schedule = self.persist_entry(entry, now_ns)
+            now_ns += schedule.stall_ns
         return now_ns
 
-    def _entry_persisted(self, entry: LogEntry, result: WriteResult, now_ns: float) -> None:
+    def _entry_persisted(self, entry: LogEntry, now_ns: float) -> None:
         if entry.type is not EntryType.UNDO_REDO:
             return
         line = self._lookup_l1_line(entry.tid, entry.addr)
@@ -258,12 +257,12 @@ class MorLogLogger(HardwareLogger):
             dirty_mask=mask if self.use_dirty_flags else 0xFF,
         )
         if not self._redo_enabled:
-            result = self.persist_entry(entry, now_ns)
-            return now_ns + result.schedule.stall_ns
+            schedule = self.persist_entry(entry, now_ns)
+            return now_ns + schedule.stall_ns
         evicted = self.redo_buffer.insert(entry, now_ns)
         for victim in evicted:
-            result = self.persist_entry(victim, now_ns)
-            now_ns += result.schedule.stall_ns
+            schedule = self.persist_entry(victim, now_ns)
+            now_ns += schedule.stall_ns
         return now_ns
 
     def _close_out_line(self, line: CacheLine, now_ns: float) -> float:
@@ -328,8 +327,8 @@ class MorLogLogger(HardwareLogger):
             else:
                 self.stats.add("redo_llc_flushes", len(stale))
                 for entry in stale:
-                    result = self.persist_entry(entry, now_ns)
-                    now_ns += result.schedule.stall_ns
+                    schedule = self.persist_entry(entry, now_ns)
+                    now_ns += schedule.stall_ns
         return now_ns
 
     # ------------------------------------------------------------------
@@ -349,12 +348,12 @@ class MorLogLogger(HardwareLogger):
         )
         self.stats.add("nt_stores")
         if not self._redo_enabled:
-            result = self.persist_entry(entry, now_ns)
-            return now_ns + result.schedule.stall_ns
+            schedule = self.persist_entry(entry, now_ns)
+            return now_ns + schedule.stall_ns
         self._nt_keys.setdefault((tx.tid, tx.txid), set()).add(entry.key)
         for victim in self.redo_buffer.insert(entry, now_ns):
-            result = self.persist_entry(victim, now_ns)
-            now_ns += result.schedule.stall_ns
+            schedule = self.persist_entry(victim, now_ns)
+            now_ns += schedule.stall_ns
         return now_ns
 
     def _flush_nt_entries(self, tx: TransactionInfo, now_ns: float) -> float:
@@ -375,8 +374,8 @@ class MorLogLogger(HardwareLogger):
         for key in self._nt_keys.pop((tx.tid, tx.txid), ()):
             entry = self.redo_buffer.pop_key(key)
             if entry is not None:
-                result = self.persist_entry(entry, now_ns)
-                now_ns += result.schedule.stall_ns
+                schedule = self.persist_entry(entry, now_ns)
+                now_ns += schedule.stall_ns
         return now_ns
 
     # ------------------------------------------------------------------
@@ -393,9 +392,9 @@ class MorLogLogger(HardwareLogger):
         """Default protocol: commit implies both atomicity and persistence."""
         last_accept = now_ns
         for entry in self.ur_buffer.pop_tx(tx.tid, tx.txid):
-            result = self.persist_entry(entry, now_ns)
-            now_ns += result.schedule.stall_ns
-            last_accept = max(last_accept, result.schedule.accept_ns)
+            schedule = self.persist_entry(entry, now_ns)
+            now_ns += schedule.stall_ns
+            last_accept = max(last_accept, schedule.accept_ns)
         for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
             line = self._lookup_l1_line(tx.tid, base)
             if line is None or line.txid != tx.txid:
@@ -411,14 +410,14 @@ class MorLogLogger(HardwareLogger):
                 )
             line.clear_log_state()
         for entry in self.redo_buffer.pop_tx(tx.tid, tx.txid):
-            result = self.persist_entry(entry, now_ns)
-            now_ns += result.schedule.stall_ns
-            last_accept = max(last_accept, result.schedule.accept_ns)
+            schedule = self.persist_entry(entry, now_ns)
+            now_ns += schedule.stall_ns
+            last_accept = max(last_accept, schedule.accept_ns)
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, now_ns)
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        schedule = self.persist_commit(record, now_ns)
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         tx.committed = True
         tx.commit_ns = now_ns + self._commit_overhead_ns
         return tx.commit_ns
@@ -432,8 +431,8 @@ class MorLogLogger(HardwareLogger):
         redo data all reached the log.
         """
         for entry in self.ur_buffer.pop_tx(tx.tid, tx.txid):
-            result = self.persist_entry(entry, now_ns)
-            now_ns += result.schedule.stall_ns
+            schedule = self.persist_entry(entry, now_ns)
+            now_ns += schedule.stall_ns
         ulog = 0
         for base in self._tx_lines.pop((tx.tid, tx.txid), ()):
             line = self._lookup_l1_line(tx.tid, base)
@@ -448,8 +447,8 @@ class MorLogLogger(HardwareLogger):
             ulog_counter=ulog,
             timestamp=self.next_commit_timestamp(),
         )
-        result = self.persist_commit(record, now_ns)
-        now_ns += result.schedule.stall_ns
+        schedule = self.persist_commit(record, now_ns)
+        now_ns += schedule.stall_ns
         self.stats.add("dp_ulog_total", ulog)
         tx.committed = True
         tx.commit_ns = now_ns + self._commit_overhead_ns
@@ -471,6 +470,6 @@ class MorLogLogger(HardwareLogger):
                     if line.txid is not None:
                         now_ns = self._close_out_line(line, now_ns)
         for entry in self.redo_buffer.pop_all():
-            result = self.persist_entry(entry, now_ns)
-            now_ns += result.schedule.stall_ns
+            schedule = self.persist_entry(entry, now_ns)
+            now_ns += schedule.stall_ns
         return now_ns

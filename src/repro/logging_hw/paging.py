@@ -140,8 +140,8 @@ class PagingLogger(HardwareLogger):
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, max(now_ns, last_accept))
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        schedule = self.persist_commit(record, max(now_ns, last_accept))
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         self._committed.add(tx.txid)
         self._tx_pages.pop(tx.txid, None)
         tx.committed = True

@@ -139,8 +139,8 @@ class RedoOnlyLogger(HardwareLogger):
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, now_ns)
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        schedule = self.persist_commit(record, now_ns)
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         # The transaction no longer blocks its lines; release any staged
         # ones that have no other in-flight holders.
         key = (tx.tid, tx.txid)

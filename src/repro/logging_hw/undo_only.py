@@ -111,8 +111,8 @@ class UndoOnlyLogger(HardwareLogger):
         record = CommitRecord(
             tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
         )
-        result = self.persist_commit(record, max(now_ns, last_accept))
-        now_ns = max(now_ns, last_accept, result.schedule.accept_ns)
+        schedule = self.persist_commit(record, max(now_ns, last_accept))
+        now_ns = max(now_ns, last_accept, schedule.accept_ns)
         tx.committed = True
         tx.commit_ns = now_ns + self._commit_overhead_ns
         return tx.commit_ns

@@ -2,8 +2,9 @@
 
 DRAM and NVMM live on one memory bus mapped to a single physical address
 space; user-critical data sit in NVMM, everything else in DRAM (section
-III-A).  The controller also exposes the log write path that the log
-buffers use to bypass the caches (section III-A, Figure 6).
+III-A).  Log writes bypass the controller's cache-line path: the log
+writers call the NVM module's ``write_log_entry`` directly (section
+III-A, Figure 6).
 """
 
 from typing import Optional, Sequence, Tuple
@@ -11,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
 from repro.memory.dram import Dram
-from repro.nvm.module import LogDataWord, NvmModule, WriteKind, WriteResult
+from repro.nvm.module import NvmModule
 
 
 class MemoryController:
@@ -63,20 +64,3 @@ class MemoryController:
             result = self.nvm.write_data_line(addr, words, now_ns)
             return result.schedule.accept_ns
         return self.dram.write_line(addr, words, now_ns)
-
-    # ------------------------------------------------------------------
-    # Log path (cache-bypassing, used by the log buffers)
-    # ------------------------------------------------------------------
-
-    def write_log_entry(
-        self,
-        addr: int,
-        meta_words: Sequence[int],
-        now_ns: float,
-        undo: Optional[LogDataWord] = None,
-        redo: Optional[LogDataWord] = None,
-        kind: WriteKind = WriteKind.LOG,
-    ) -> WriteResult:
-        return self.nvm.write_log_entry(
-            addr, meta_words, now_ns, undo=undo, redo=redo, kind=kind
-        )

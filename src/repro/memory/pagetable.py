@@ -90,20 +90,20 @@ class PageTable:
         self, index: int, tid: int, txid: int, page_index: int, now_ns: float
     ) -> float:
         """Write a slot's validating header + page index (one request)."""
-        result = self.controller.write_log_entry(
+        schedule = self.controller.nvm.write_log_entry(
             self.slot_addr(index),
             [pack_pte_header(tid, txid), page_index],
             now_ns,
             kind=WriteKind.LOG,
         )
-        return now_ns + result.schedule.stall_ns
+        return now_ns + schedule.stall_ns
 
     def persist_watermark(self, value: int, now_ns: float) -> float:
         self.watermark = value
-        result = self.controller.write_log_entry(
+        schedule = self.controller.nvm.write_log_entry(
             self.control_addr, [value], now_ns, kind=WriteKind.LOG
         )
-        return now_ns + result.schedule.stall_ns
+        return now_ns + schedule.stall_ns
 
     @staticmethod
     def read_watermark(controller: MemoryController, config: SystemConfig) -> int:

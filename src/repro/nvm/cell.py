@@ -68,6 +68,35 @@ def dcw_cost(old: int, new: int, latency_table, energy_table) -> Tuple[int, floa
     return programmed, latency, energy
 
 
+def pristine_cost_table(config: NVMConfig):
+    """DCW cost of programming three pristine cells, per 9-bit image.
+
+    A never-programmed word slot holds every cell at level 0, so moving
+    it to ``new`` programs exactly the cells of ``new`` that are not 0.
+    Entry ``c`` covers the three cells of ``c`` (cell *j* at bits
+    3j..3j+2): ``(cells_programmed, latency_ns, e0, e1, e2)``, where
+    ``ej`` is cell *j*'s energy, or ``0.0`` when it stays at level 0.
+    Adding ``e0 + e1 + e2`` chunk by chunk is then the ascending
+    cell-by-cell sum of :func:`dcw_cost`: adding ``0.0`` to a float
+    leaves it exactly as it was.  Cached on the config object.
+    """
+    table = getattr(config, "_pristine_cost_cache", None)
+    if table is None:
+        latency_table, energy_table = cost_tables(config)
+        # (programmed, latency, energy) of one pristine cell, per level.
+        cell = [(0, 0.0, 0.0)] + [
+            (1, latency_table[level], energy_table[level]) for level in range(1, 8)
+        ]
+        table = tuple(
+            (n0 + n1 + n2, max(t0, t1, t2), e0, e1, e2)
+            for n2, t2, e2 in cell
+            for n1, t1, e1 in cell
+            for n0, t0, e0 in cell
+        )
+        object.__setattr__(config, "_pristine_cost_cache", table)
+    return table
+
+
 def program_cost(
     old_levels: Sequence[int],
     new_levels: Sequence[int],

@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.common.bitops import WORD_BYTES, WORDS_PER_LINE, mask_word
+from repro.common.bitops import WORD_BYTES, WORD_MASK, WORDS_PER_LINE, mask_word
 from repro.common.config import EncodingConfig, NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding import make_codec
@@ -64,11 +64,10 @@ class LogDataWord:
 
 @dataclass(frozen=True, slots=True)
 class WriteResult:
-    """Outcome of one write request."""
+    """Outcome of one data-line write request."""
 
     schedule: WriteSchedule
     cost: WriteCost
-    encoded_words: Tuple[EncodedWord, ...]
 
 
 class NvmModule:
@@ -95,6 +94,10 @@ class NvmModule:
         )
         self.log_codec: WordCodec = make_codec(
             encoding_config.log_codec, encoding_config.expansion_enabled, memo
+        )
+        # The log codec when it is SLDE (undo+redo pairs, dirty contexts).
+        self._slde: Optional[SldeCodec] = (
+            self.log_codec if isinstance(self.log_codec, SldeCodec) else None
         )
         # Secure-NVMM model (section IV-D).  Encryption only changes what
         # the cells see (ciphertext entropy / dirtiness); the array keeps
@@ -126,13 +129,26 @@ class NvmModule:
         ``{"data.<memo>": counters, "log.<memo>": counters}`` — empty
         when memoization is disabled.  Surfaced by ``metrics_snapshot``
         under its ``memo`` key so bench records capture cache
-        effectiveness alongside throughput.
+        effectiveness alongside throughput.  Hits, misses and evictions
+        count the whole run; ``entries`` reads 0 once the run is
+        drained (:meth:`clear_memos`).
         """
         stats = {}
         for prefix, codec in (("data", self.data_codec), ("log", self.log_codec)):
             for name, counters in codec.memo_stats().items():
                 stats["%s.%s" % (prefix, name)] = counters
         return dict(sorted(stats.items()))
+
+    def clear_memos(self) -> None:
+        """Drop both codecs' memo entries and the array's DCW memo.
+
+        ``System.drain`` calls this when a run ends, so a finished
+        system does not keep up to 8,192 entries per memo alive.
+        Result-inert; the memos' counters stay.
+        """
+        self.data_codec.clear_memos()
+        self.log_codec.clear_memos()
+        self.array.clear_dcw_memo()
 
     def _emit_slde_decision(
         self, word, chosen, chosen_bits, rejected, rejected_bits, silent
@@ -157,15 +173,10 @@ class NvmModule:
     # Write path
     # ------------------------------------------------------------------
 
-    def _write_words(
-        self,
-        addr: int,
-        encoded: Sequence[EncodedWord],
-        logicals: Sequence[int],
-        now_ns: float,
-        kind: WriteKind,
-    ) -> WriteResult:
-        cost = self.array.write_words(addr, encoded, logicals)
+    def _post(
+        self, addr: int, cost: WriteCost, now_ns: float, kind: WriteKind
+    ) -> WriteSchedule:
+        """Book a programmed request's timing and traffic counters."""
         if cost.silent:
             # Nothing was programmed: the request is elided entirely.
             schedule = WriteSchedule(accept_ns=now_ns, finish_ns=now_ns, stall_ns=0.0)
@@ -189,7 +200,7 @@ class NvmModule:
                 silent=cost.silent,
                 stall_ns=schedule.stall_ns,
             )
-        return WriteResult(schedule, cost, tuple(encoded))
+        return schedule
 
     def write_data_line(
         self, addr: int, words: Sequence[int], now_ns: float
@@ -228,7 +239,8 @@ class NvmModule:
                     for i, new in enumerate(news)
                 ]
             )
-        return self._write_words(addr, encoded, news, now_ns, WriteKind.DATA)
+        cost = self.array.write_words(addr, encoded, news)
+        return WriteResult(self._post(addr, cost, now_ns, WriteKind.DATA), cost)
 
     def encode_log_words(
         self,
@@ -242,36 +254,38 @@ class NvmModule:
         compresses log metadata with FPC).  Undo+redo pairs respect the
         never-both-DLDC rule via :meth:`SldeCodec.encode_undo_redo_pair`.
         """
-        logicals: List[int] = [mask_word(meta) for meta in meta_words]
+        logicals: List[int] = [meta & WORD_MASK for meta in meta_words]
         # Metadata words batch through the general codec in one call.
         encoded: List[EncodedWord] = list(self.data_codec.encode_line(logicals))
+        if undo is None and redo is None:
+            return encoded, logicals
 
         # The array keeps plaintext as the logical ground truth; secure
         # modes only change what the cells (and costs) see.
-        plain = [item.logical if item is not None else None for item in (undo, redo)]
+        plain = (undo, redo)
         if self._secure != "none":
             undo, redo = self._encrypt_log_words(undo, redo)
 
-        slde = self.log_codec if isinstance(self.log_codec, SldeCodec) else None
+        slde = self._slde
         if undo is not None and redo is not None and slde is not None:
             mask = 0xFF
             if redo.context is not None:
                 mask = redo.context.dirty_mask
-            undo_enc, redo_enc = slde.encode_undo_redo_pair(
-                undo.logical, redo.logical, mask
+            encoded.extend(
+                slde.encode_undo_redo_pair(undo.logical, redo.logical, mask)
             )
-            encoded.extend([undo_enc, redo_enc])
-            logicals.extend([mask_word(plain[0]), mask_word(plain[1])])
+            logicals.append(plain[0].logical & WORD_MASK)
+            logicals.append(plain[1].logical & WORD_MASK)
             return encoded, logicals
 
-        for item, plain_value in zip((undo, redo), plain):
+        for item, plain_item in zip((undo, redo), plain):
             if item is None:
                 continue
             if slde is not None and item.context is not None:
                 encoded.append(slde.encode_log(item.logical, item.context))
             else:
                 encoded.append(self.log_codec.encode(item.logical))
-            logicals.append(mask_word(plain_value))
+            logicals.append(plain_item.logical & WORD_MASK)
         return encoded, logicals
 
     def _encrypt_log_words(self, undo, redo):
@@ -308,12 +322,18 @@ class NvmModule:
         undo: Optional[LogDataWord] = None,
         redo: Optional[LogDataWord] = None,
         kind: WriteKind = WriteKind.LOG,
-    ) -> WriteResult:
-        """Write one log entry (or commit record) to the log region."""
+    ) -> WriteSchedule:
+        """Write one log entry (or commit record) from ``addr`` on.
+
+        Encodes the words (:meth:`encode_log_words`), programs them and
+        posts the write; the schedule is all a log writer reads.
+        """
         if self.tracer is not None:
             self._trace_now = now_ns
         encoded, logicals = self.encode_log_words(meta_words, undo, redo)
-        return self._write_words(addr, encoded, logicals, now_ns, kind)
+        return self._post(
+            addr, self.array.write_words(addr, encoded, logicals), now_ns, kind
+        )
 
     # ------------------------------------------------------------------
     # Read path

@@ -184,7 +184,7 @@ FROZEN_SLOTTED = [
     LogWriteContext(0xCD, 0x01, False),
     COST,
     SCHEDULE,
-    WriteResult(SCHEDULE, COST, (ENCODED,)),
+    WriteResult(SCHEDULE, COST),
 ]
 MUTABLE_SLOTTED = [
     LiveEntry(8, 4, EntryType.UNDO_REDO, 1, 7, 3),

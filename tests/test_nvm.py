@@ -213,11 +213,12 @@ class TestNvmModule:
         from repro.common.bitops import dirty_byte_mask
 
         ctx = LogWriteContext(old_word=old, dirty_mask=dirty_byte_mask(old, new))
-        result = module.write_log_entry(
+        module.write_log_entry(
             0x100, [0xAA, 0xBB], 0.0,
             undo=LogDataWord(old, ctx), redo=LogDataWord(new, ctx),
         )
-        assert len(result.encoded_words) == 4
+        assert module.array.written_addresses(0x100, 0x200) == [
+            0x100, 0x108, 0x110, 0x118]
         assert module.stats.get("log_writes") == 1
 
     def test_decode_word_verifies_consistency(self):

@@ -27,7 +27,7 @@ from repro.encoding.expansion import (
     pack_payload,
 )
 from repro.nvm.array import TAG_CELLS, NvmArray, _tag_value
-from repro.nvm.cell import cost_tables, dcw_cost, program_cost
+from repro.nvm.cell import cost_tables, dcw_cost, pristine_cost_table, program_cost
 
 CONFIGS = (NVMConfig(), NVMConfig(write_latency_scale=2.5))
 METHODS = ("raw", "fpc", "crade", "dldc", "slde", "flip-n-write", "bdi")
@@ -195,6 +195,17 @@ class TestDcwKernel:
         cost = program_cost(old, new, config)
         assert (cost.cells_programmed, cost.latency_ns, cost.energy_pj) == (
             reference_cost(old, new, config))
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["scale1", "scale2.5"])
+    def test_pristine_table_matches_reference(self, config):
+        # Every three-cell image, programmed over pristine cells, with the
+        # entry's energies added in order from 0.0 as the array adds them.
+        table = pristine_cost_table(config)
+        assert len(table) == 512
+        for chunk, (cells, latency, e0, e1, e2) in enumerate(table):
+            levels = tuple(chunk >> 3 * j & 7 for j in range(3))
+            assert (cells, latency, 0.0 + e0 + e1 + e2) == (
+                reference_cost((0, 0, 0), levels, config))
 
     def test_program_cost_rejects_bad_images(self):
         with pytest.raises(ValueError):

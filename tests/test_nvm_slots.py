@@ -1,17 +1,19 @@
-"""The flat slot store of :class:`repro.nvm.array.NvmArray`.
+"""The slot store of :class:`repro.nvm.array.NvmArray`.
 
 The array keeps its word slots in maps keyed by word address: logical
 values and packed cell state (data cells, tag cells and wear in one int)
-in two maps of ints, and the last encoding per slot in a third.
-:class:`~repro.nvm.array.StoredWord` is only the view that ``read_word``
-and ``snapshot`` build.  The reference below is the earlier layout, one
-mutable ``StoredWord`` per slot plus a separate wear dict, kept only
-here.  Every comparison is ``==``, floats included.
+in two maps of ints, and the last encoding per slot in a third.  Slots in
+a paged window (``store_by_page``, the log region's) live in per-page
+arrays instead.  :class:`~repro.nvm.array.StoredWord` is only the view
+that ``read_word`` and ``snapshot`` build.  The reference below is the
+earlier layout, one mutable ``StoredWord`` per slot plus a separate wear
+dict, kept only here.  Every comparison is ``==``, floats included.
 """
 
 import gc
 from typing import Dict, Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import WORD_BYTES, WORD_MASK
@@ -19,14 +21,19 @@ from repro.common.config import NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
 from repro.encoding.expansion import CELLS_PER_WORD, ExpansionPolicy, pack_payload
-from repro.nvm.array import NvmArray, StoredWord, WriteCost, _tag_value
+from repro.nvm.array import PAGE_WORDS, NvmArray, StoredWord, WriteCost, _tag_value
 from repro.nvm.cell import cost_tables, dcw_cost
 
 CONFIG = NVMConfig()
 ALIGN = ~(WORD_BYTES - 1)
 # Four lines of word slots, so operations keep landing on earlier slots.
+# They straddle a page boundary, and the paged window covers the middle
+# two lines, so operations land on both sides of the window and on two
+# pages inside it.
+BASE = PAGE_WORDS * WORD_BYTES - 2 * 64
 SPAN = 4 * 64
-ADDRS = range(0, SPAN + 8 * WORD_BYTES, WORD_BYTES)
+ADDRS = range(BASE, BASE + SPAN + 8 * WORD_BYTES, WORD_BYTES)
+WINDOW = (BASE + 64, BASE + 3 * 64)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +170,7 @@ def encodings(draw):
     )
 
 
-addrs = st.integers(0, SPAN - 1)
+addrs = st.integers(BASE, BASE + SPAN - 1)
 values = st.integers(0, (1 << 66) - 1)  # wider than a word: masked on store
 
 words_op = st.tuples(
@@ -198,14 +205,29 @@ def apply(target, op):
     return None
 
 
-def assert_same(array: NvmArray, reference: ReferenceArray) -> None:
+def in_array_order(items, window) -> list:
+    """The reference's (address, value) pairs in the array's order: slots
+    outside the paged window in creation order, then the window's by
+    address."""
+    items = list(items)
+    if window is None:
+        return items
+    lo, hi = window
+    return [item for item in items if not lo <= item[0] < hi] + sorted(
+        (item for item in items if lo <= item[0] < hi), key=lambda item: item[0])
+
+
+def assert_same(array: NvmArray, reference: ReferenceArray, window) -> None:
     for addr in ADDRS:
         assert array.read_word(addr + 5) == reference.read_word(addr), hex(addr)
         assert array.read_logical(addr + 3) == reference.read_logical(addr + 3)
-    assert list(array.snapshot().items()) == list(reference.snapshot().items())
-    assert array.written_addresses(64, 192) == reference.written_addresses(64, 192)
+    assert list(array.snapshot().items()) == in_array_order(
+        reference.snapshot().items(), window)
+    # Bounds cut into the lines on both sides of the window.
+    lo, hi = BASE + 40, BASE + SPAN - 40
+    assert array.written_addresses(lo, hi) == reference.written_addresses(lo, hi)
     assert len(array) == len(reference)
-    assert list(array.wear.items()) == list(reference.wear.items())
+    assert list(array.wear.items()) == in_array_order(reference.wear.items(), window)
     assert array.stats.as_dict() == reference.stats.as_dict()
 
 
@@ -213,33 +235,56 @@ def assert_same(array: NvmArray, reference: ReferenceArray) -> None:
 # Differential test
 # ---------------------------------------------------------------------------
 
+def run_against_reference(stream, window=None) -> None:
+    """Drive an array (paged over ``window``, if given) and the reference
+    with the same operations, comparing them after each one."""
+    array = NvmArray(CONFIG, StatGroup("array"))
+    if window is not None:
+        array.store_by_page(*window)
+    reference = ReferenceArray(CONFIG)
+    snapshots = []
+    for op in stream:
+        kind = op[0]
+        if kind == "journal":
+            reference.open_journal()
+            with array.journaled_logical_writes():
+                for inner in op[1]:
+                    assert apply(array, inner) == apply(reference, inner)
+            reference.close_journal()
+        elif kind == "snapshot":
+            mine, theirs = array.snapshot(), reference.snapshot()
+            assert list(mine.items()) == in_array_order(theirs.items(), window)
+            snapshots.append((mine, theirs))
+        elif kind == "restore":
+            if snapshots:
+                mine, theirs = snapshots[op[1] % len(snapshots)]
+                array.restore(mine)
+                reference.restore(theirs)
+        else:
+            assert apply(array, op) == apply(reference, op)
+        assert_same(array, reference, window)
+
+
 class TestAgainstSlotObjects:
     @settings(max_examples=300, deadline=None)
     @given(stream=st.lists(ops, min_size=1, max_size=14))
     def test_random_operations_match_reference(self, stream):
-        array = NvmArray(CONFIG, StatGroup("array"))
-        reference = ReferenceArray(CONFIG)
-        snapshots = []
-        for op in stream:
-            kind = op[0]
-            if kind == "journal":
-                reference.open_journal()
-                with array.journaled_logical_writes():
-                    for inner in op[1]:
-                        assert apply(array, inner) == apply(reference, inner)
-                reference.close_journal()
-            elif kind == "snapshot":
-                mine, theirs = array.snapshot(), reference.snapshot()
-                assert list(mine.items()) == list(theirs.items())
-                snapshots.append((mine, theirs))
-            elif kind == "restore":
-                if snapshots:
-                    mine, theirs = snapshots[op[1] % len(snapshots)]
-                    array.restore(mine)
-                    reference.restore(theirs)
-            else:
-                assert apply(array, op) == apply(reference, op)
-            assert_same(array, reference)
+        run_against_reference(stream)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.lists(ops, min_size=1, max_size=14))
+    def test_paged_window_matches_reference(self, stream):
+        run_against_reference(stream, WINDOW)
+
+    def test_window_is_set_once_before_its_slots(self):
+        array = NvmArray(CONFIG)
+        array.write_logical(WINDOW[0], 1)
+        with pytest.raises(ValueError):
+            array.store_by_page(*WINDOW)
+        array = NvmArray(CONFIG)
+        array.store_by_page(*WINDOW)
+        with pytest.raises(ValueError):
+            array.store_by_page(WINDOW[1], WINDOW[1] + 64)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +321,30 @@ class TestSlotStore:
 
         assert _tracked_growth(write_logicals) < 50
         assert len(array) == 1000
+
+    def test_paged_slots_add_no_per_slot_objects(self):
+        # 1,000 slots span two pages: a page adds a handful of tracked
+        # objects (itself, its cell and encoding lists), a slot none.
+        encoded = EncodedWord("raw", 0x5A5A, 64, 0, ExpansionPolicy.RAW)
+        array = NvmArray(CONFIG)
+        array.store_by_page(0, 1 << 20)
+        batch = [encoded] * 8
+
+        def write_requests():
+            for i in range(125):
+                array.write_words(64 * i, batch, list(range(8 * i, 8 * i + 8)))
+
+        assert _tracked_growth(write_requests) < 50
+        assert len(array) == 1000 and not array._logical
+        array = NvmArray(CONFIG)
+        array.store_by_page(0, 1 << 20)
+
+        def write_logicals():
+            for i in range(1000):
+                array.write_logical(WORD_BYTES * i, i)
+
+        assert _tracked_growth(write_logicals) < 50
+        assert len(array) == 1000 and not array._logical
 
     def test_int_maps_stay_untracked(self):
         array = NvmArray(CONFIG)

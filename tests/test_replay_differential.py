@@ -227,6 +227,18 @@ class TestFaultSweepEquality:
         assert replayed.per_point == direct.per_point
         assert replayed.counterexample == direct.counterexample
 
+    def test_sweep_rejects_trace_of_other_thread_count(self):
+        # The sweep dispatches each recorded transaction on its recorded
+        # core but schedules force-write-back scans on its own thread
+        # count, so a mismatch would sweep a run unlike either.
+        trace, _result, _sys = record_trace(
+            "MorLog-SLDE", "hash", config=sweep_system_config(),
+            n_transactions=6, n_threads=4,
+        )
+        options = SweepOptions(transactions=6, threads=2, seed=3, budget=12)
+        with pytest.raises(ValueError, match="4 threads.*2"):
+            run_sweep("morlog", options, trace=trace)
+
 
 class TestMachineReuse:
     """Regression: replay must cold-reset a reused machine (satellite 4)."""

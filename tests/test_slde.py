@@ -245,14 +245,17 @@ class TestEncodingTypeFlagCharging:
         module = NvmModule(NVMConfig(), EncodingConfig(), StatGroup("t"))
         old, new = 0x1111_1111_1111_1111, 0x1111_1111_1111_1119
         ctx = LogWriteContext(old_word=old, dirty_mask=dirty_byte_mask(old, new))
-        result = module.write_log_entry(
+        module.write_log_entry(
             0x100, [0xAA, 0xBB], 0.0,
             undo=LogDataWord(old, ctx), redo=LogDataWord(new, ctx),
         )
+        # The encodings the entry stored, one per word.
+        stored = [module.array.read_word(0x100 + 8 * i).encoded for i in range(4)]
+        assert None not in stored
         booked = module.stats.get("log_bits")
-        assert booked == sum(e.total_bits for e in result.encoded_words)
+        assert booked == sum(e.total_bits for e in stored)
         # And the flag surcharge stayed out of the booked traffic.
-        non_silent = [e for e in result.encoded_words if not e.silent]
+        non_silent = [e for e in stored if not e.silent]
         assert booked < sum(
             e.total_bits + ENCODING_TYPE_FLAG_BITS for e in non_silent
         ) or not non_silent

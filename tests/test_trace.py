@@ -252,11 +252,12 @@ class TestSldeDecisionTruth:
         # both sides prefer DLDC and the conflict path must demote one.
         undo, redo = 0x0123_4567_89AB_CDEF, 0x0123_4567_89AB_CDEE
         ctx = LogWriteContext(old_word=undo, dirty_mask=0x01)
-        result = module.write_log_entry(
+        module.write_log_entry(
             0x100, [0x1], 0.0,
             undo=LogDataWord(undo, ctx), redo=LogDataWord(redo, ctx),
         )
-        undo_enc, redo_enc = result.encoded_words[-2:]
+        # The encodings stored for the undo and redo words.
+        undo_enc, redo_enc = (module.array.read_word(a).encoded for a in (0x108, 0x110))
         assert {undo_enc.method, redo_enc.method} == {"dldc", "crade"}
         decisions = [e for e in bus.events if e.name == "slde-decision"]
         assert len(decisions) == 2
