@@ -77,10 +77,6 @@ class System:
         self.stats = StatGroup("system")
         self.controller = MemoryController(config, self.stats)
         log_base = config.nvmm_base + config.nvm.size_bytes
-        # Log slots fill densely from the region base: keep them by page.
-        self.controller.nvm.array.store_by_page(
-            log_base, log_base + config.logging.log_region_bytes
-        )
         if config.logging.distributed_logs:
             self.log_region = LogRegionSet(
                 self.controller,
@@ -294,8 +290,7 @@ class System:
             words = [array.read_logical(base + i * WORD_BYTES) for i in range(8)]
             for addr, value in words_in_line.items():
                 words[(addr - base) // WORD_BYTES] = value
-            result = self.controller.nvm.write_data_line(base, words, now_ns)
-            now_ns += result.schedule.stall_ns
+            now_ns += self.controller.nvm.write_data_line(base, words, now_ns).stall_ns
         return now_ns
 
     # ------------------------------------------------------------------
@@ -547,7 +542,7 @@ class System:
         """Close a run: persist every buffered entry and dirty line.
 
         Then drop the host-side caches a finished machine no longer
-        needs (the codec and DCW memos, the logger's interned contexts);
+        needs (the codec memos, the logger's interned contexts);
         their hit and miss counters stay.
         """
         end = self.logger.drain(now_ns)

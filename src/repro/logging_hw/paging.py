@@ -81,10 +81,9 @@ class PagingLogger(HardwareLogger):
                 array.read_logical(page_base + line_off + i * WORD_BYTES)
                 for i in range(WORDS_PER_LINE)
             ]
-            result = self.controller.nvm.write_data_line(
+            now_ns += self.controller.nvm.write_data_line(
                 shadow + line_off, words, now_ns
-            )
-            now_ns += result.schedule.stall_ns
+            ).stall_ns
         # The header validates the shadow, so it persists last: a crash
         # mid-copy leaves a dead slot and an untouched home page.
         if self.crash_plan is not None:

@@ -89,8 +89,7 @@ class RedoOnlyLogger(HardwareLogger):
                 # The staged line is about to reach NVMM; its transactions
                 # have all committed, so redo data must already be durable.
                 self.crash_plan.fire("stage-release", addr=base)
-            result = self.controller.nvm.write_data_line(base, words, now_ns)
-            now_ns += result.schedule.stall_ns
+            now_ns += self.controller.nvm.write_data_line(base, words, now_ns).stall_ns
             self.stats.add("stage_releases")
         return now_ns
 

@@ -61,6 +61,5 @@ class MemoryController:
         if self.is_persistent(addr):
             if self.data_write_observer is not None:
                 self.data_write_observer(addr, words)
-            result = self.nvm.write_data_line(addr, words, now_ns)
-            return result.schedule.accept_ns
+            return self.nvm.write_data_line(addr, words, now_ns).accept_ns
         return self.dram.write_line(addr, words, now_ns)

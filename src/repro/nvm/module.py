@@ -62,14 +62,6 @@ class LogDataWord:
     context: Optional[LogWriteContext] = None
 
 
-@dataclass(frozen=True, slots=True)
-class WriteResult:
-    """Outcome of one data-line write request."""
-
-    schedule: WriteSchedule
-    cost: WriteCost
-
-
 class NvmModule:
     """The NVMM module: codec + array + timing."""
 
@@ -140,7 +132,7 @@ class NvmModule:
         return dict(sorted(stats.items()))
 
     def clear_memos(self) -> None:
-        """Drop both codecs' memo entries and the array's DCW memo.
+        """Drop both codecs' memo entries.
 
         ``System.drain`` calls this when a run ends, so a finished
         system does not keep up to 8,192 entries per memo alive.
@@ -148,7 +140,6 @@ class NvmModule:
         """
         self.data_codec.clear_memos()
         self.log_codec.clear_memos()
-        self.array.clear_dcw_memo()
 
     def _emit_slde_decision(
         self, word, chosen, chosen_bits, rejected, rejected_bits, silent
@@ -204,8 +195,8 @@ class NvmModule:
 
     def write_data_line(
         self, addr: int, words: Sequence[int], now_ns: float
-    ) -> WriteResult:
-        """Write one in-place 64-byte cache line."""
+    ) -> WriteSchedule:
+        """Write one in-place 64-byte cache line; returns its schedule."""
         if len(words) != WORDS_PER_LINE:
             raise ValueError("a data line write carries exactly 8 words")
         if self.crash_plan is not None:
@@ -239,8 +230,9 @@ class NvmModule:
                     for i, new in enumerate(news)
                 ]
             )
-        cost = self.array.write_words(addr, encoded, news)
-        return WriteResult(self._post(addr, cost, now_ns, WriteKind.DATA), cost)
+        return self._post(
+            addr, self.array.write_words(addr, encoded, news), now_ns, WriteKind.DATA
+        )
 
     def encode_log_words(
         self,

@@ -39,7 +39,7 @@ from repro.logging_hw.buffers import BufferedEntry
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LiveEntry
 from repro.nvm.array import NvmArray, WriteCost
-from repro.nvm.module import LogDataWord, NvmModule, WriteResult
+from repro.nvm.module import LogDataWord, NvmModule
 from repro.nvm.timing import WriteSchedule
 
 
@@ -184,7 +184,6 @@ FROZEN_SLOTTED = [
     LogWriteContext(0xCD, 0x01, False),
     COST,
     SCHEDULE,
-    WriteResult(SCHEDULE, COST),
 ]
 MUTABLE_SLOTTED = [
     LiveEntry(8, 4, EntryType.UNDO_REDO, 1, 7, 3),

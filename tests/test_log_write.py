@@ -5,7 +5,7 @@ posts the write in one call, and returns only the ``WriteSchedule``.  The
 reference below is the composition it replaces, kept only here:
 ``encode_log_words`` as it was, then a flat-map array that programs every
 word through :func:`~repro.nvm.cell.dcw_cost` (three dicts keyed by word
-address, no paged window, no pristine step), then the bank timing's
+address, no pages, no pristine step), then the bank timing's
 write as it was (``location``, ``accept_time``, ``_acquire``, ``push``).
 Every comparison is ``==``, floats included.
 
@@ -38,9 +38,8 @@ from repro.nvm.timing import WriteSchedule
 from tests.conftest import make_tiny_system
 
 # Sixteen word slots, so entries keep landing on programmed slots (a
-# wrapped log); the paged window covers the upper half of them.
+# wrapped log).
 SLOTS = 16
-WINDOW = (8 * WORD_BYTES, 64 * WORD_BYTES)
 _DATA_MASK = (1 << 3 * CELLS_PER_WORD) - 1
 
 
@@ -221,7 +220,6 @@ class TestAgainstComposition:
         nvm_config = NVMConfig(write_latency_scale=scale)
         encoding = replace(EncodingConfig(), log_codec=log_codec, secure_mode=secure)
         module = NvmModule(nvm_config, encoding, StatGroup("fused"))
-        module.array.store_by_page(*WINDOW)
         reference = Composition(nvm_config, encoding)
         now = 0.0
         for (addr, meta, undo, redo, kind), step in stream:

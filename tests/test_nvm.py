@@ -93,15 +93,6 @@ class TestNvmArray:
         array.write_word(0x1003, RawCodec().encode(7), 7)
         assert array.read_logical(0x1000) == 7
 
-    def test_snapshot_restore(self):
-        array = self._array()
-        codec = RawCodec()
-        array.write_word(0x0, codec.encode(1), 1)
-        snap = array.snapshot()
-        array.write_word(0x0, codec.encode(2), 2)
-        array.restore(snap)
-        assert array.read_logical(0x0) == 1
-
     def test_snapshot_is_deep(self):
         array = self._array()
         codec = RawCodec()
@@ -239,6 +230,9 @@ class TestNvmModule:
     def test_silent_request_elided(self):
         module = self._module()
         module.write_data_line(0x40, [5] * 8, 0.0)
-        result = module.write_data_line(0x40, [5] * 8, 10.0)
-        assert result.cost.silent
-        assert result.schedule.finish_ns == 10.0
+        cells = module.stats.get("cells_programmed")
+        silent = module.stats.get("silent_requests")
+        schedule = module.write_data_line(0x40, [5] * 8, 10.0)
+        assert module.stats.get("cells_programmed") == cells
+        assert module.stats.get("silent_requests") == silent + 1
+        assert schedule.finish_ns == 10.0

@@ -3,20 +3,18 @@
 :mod:`repro.nvm.array` stores a word slot's cells as packed ints (3 bits
 per cell, cell *i* at bits 3i..3i+2), maps payloads with one table
 lookup per chunk (:func:`repro.encoding.expansion.pack_payload`), costs
-writes with one XOR-driven DCW kernel (:func:`repro.nvm.cell.dcw_cost`)
-behind a per-array memo, and programs a whole request in one loop.  The
+writes with one XOR-driven DCW kernel (:func:`repro.nvm.cell.dcw_cost`),
+and programs a whole request in one loop.  The
 references below are the per-cell formulation — cell tuples, one cell
 at a time, one word at a time — kept only here.  Every comparison is
 ``==``, floats included: the energy sums must round identically.
 """
 
 from typing import Dict, Tuple
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.nvm.array as array_mod
 from repro.common.config import NVMConfig, tlc_levels_sorted_by_latency
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
@@ -255,27 +253,17 @@ def assert_same_state(array: NvmArray, reference: ReferenceArray) -> None:
 
 
 class TestWriteRequests:
-    # The second case also keeps the DCW memo at two entries, so it is
-    # cleared and refilled inside requests.
-    @pytest.mark.parametrize(
-        "config, memo_entries",
-        [(CONFIGS[0], array_mod.DCW_MEMO_ENTRIES), (CONFIGS[1], 2)],
-        ids=["scale1", "scale2.5-memo2"],
-    )
+    @pytest.mark.parametrize("config", CONFIGS, ids=["scale1", "scale2.5"])
     @settings(max_examples=100, deadline=None)
     @given(stream=requests)
-    def test_requests_match_word_by_word_reference(
-        self, config, memo_entries, stream
-    ):
+    def test_requests_match_word_by_word_reference(self, config, stream):
         array = NvmArray(config, StatGroup("packed"))
         reference = ReferenceArray(config)
-        with mock.patch.object(array_mod, "DCW_MEMO_ENTRIES", memo_entries):
-            for addr, words in stream:
-                encoded = [enc for enc, _ in words]
-                logicals = [logical for _, logical in words]
-                cost = array.write_words(addr, encoded, logicals)
-                assert (cost.cells_programmed, cost.bits_written,
-                        cost.latency_ns, cost.energy_pj, cost.silent) == (
-                    reference.write_words(addr, encoded, logicals))
+        for addr, words in stream:
+            encoded = [enc for enc, _ in words]
+            logicals = [logical for _, logical in words]
+            cost = array.write_words(addr, encoded, logicals)
+            assert (cost.cells_programmed, cost.bits_written,
+                    cost.latency_ns, cost.energy_pj, cost.silent) == (
+                reference.write_words(addr, encoded, logicals))
         assert_same_state(array, reference)
-        assert len(array._dcw_memo) <= memo_entries
