@@ -66,26 +66,12 @@ def repro_scale() -> float:
 
 
 def default_config_digest() -> str:
-    """Digest of the default experiment configuration + ``REPRO_SCALE``.
-
-    Result-inert encoding knobs (the codec memo) are stripped exactly as
-    the grid result cache strips them, so toggling memoization does not
-    fork the record space.
-    """
+    """Digest of the default experiment configuration + ``REPRO_SCALE``."""
     from repro.experiments.runner import default_config
-    from repro.experiments.serialize import (
-        config_to_dict,
-        stable_hash,
-        strip_result_inert_encoding,
-    )
+    from repro.experiments.serialize import config_to_dict, stable_hash
 
     return stable_hash(
-        {
-            "config": strip_result_inert_encoding(
-                config_to_dict(default_config())
-            ),
-            "scale": repro_scale(),
-        }
+        {"config": config_to_dict(default_config()), "scale": repro_scale()}
     )
 
 

@@ -988,10 +988,7 @@ def _cmd_bench_record(args) -> int:
         record,
     )
     from repro.experiments.parallel import resolve_cell, run_cell
-    from repro.experiments.serialize import (
-        stable_hash,
-        strip_result_inert_encoding,
-    )
+    from repro.experiments.serialize import stable_hash
     from repro.trace import metrics_snapshot
 
     dataset = DatasetSize.LARGE if args.large else DatasetSize.SMALL
@@ -1007,7 +1004,7 @@ def _cmd_bench_record(args) -> int:
     # numbers, so `bench compare` never pairs incompatible measurements.
     digest = stable_hash(
         {
-            "config": strip_result_inert_encoding(spec.config_dict),
+            "config": spec.config_dict,
             "design": spec.design,
             "params": spec.params_dict,
             "threads": spec.n_threads,

@@ -192,13 +192,6 @@ class EncodingConfig:
     # fully dirty, incompressible ciphertext), "deuce" (DEUCE re-encrypts
     # only dirty words, so clean words — and silent log writes — survive).
     secure_mode: str = "none"
-    # Codec-result memoization (repro.encoding.memo).  Result-inert: it
-    # never changes encodings, stats, traces, or recovery outcomes, only
-    # simulation wall-clock — so these knobs are excluded from grid
-    # result-cache keys (see repro.experiments.serialize).
-    codec_memo: bool = True
-    # Bound of each per-codec LRU, in entries.
-    codec_memo_entries: int = 8192
 
 
 @dataclass(frozen=True)
@@ -249,8 +242,6 @@ class SystemConfig:
             raise ConfigError(
                 "unknown secure mode %r" % self.encoding.secure_mode
             )
-        if self.encoding.codec_memo and self.encoding.codec_memo_entries <= 0:
-            raise ConfigError("codec_memo_entries must be positive")
 
     def with_changes(self, **kwargs) -> "SystemConfig":
         """Return a copy with top-level fields replaced."""

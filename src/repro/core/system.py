@@ -541,9 +541,8 @@ class System:
     def drain(self, now_ns: float) -> None:
         """Close a run: persist every buffered entry and dirty line.
 
-        Then drop the host-side caches a finished machine no longer
-        needs (the codec memos, the logger's interned contexts);
-        their hit and miss counters stay.
+        Then drop the codec memos' entries, which a finished machine no
+        longer needs; their hit, miss and eviction counters stay.
         """
         end = self.logger.drain(now_ns)
         end = self.hierarchy.drain_all(end)
@@ -552,7 +551,6 @@ class System:
             # committed.
             self._truncate_log(end)
         self.controller.nvm.clear_memos()
-        self.logger.clear_context_cache()
 
     def run(self, workload, n_transactions: int, n_threads: Optional[int] = None) -> RunResult:
         """Set up ``workload`` and execute ``n_transactions`` across threads."""

@@ -16,14 +16,12 @@ This subpackage implements the full encoding pipeline the paper evaluates:
   used in ablations.
 """
 
-from typing import Optional
-
 from repro.encoding.base import EncodedWord, WordCodec, RawCodec
 from repro.encoding.bdi import BdiCodec
 from repro.encoding.fpc import FpcCodec
 from repro.encoding.crade import CradeCodec
 from repro.encoding.dldc import DldcCodec, dldc_compress_pattern
-from repro.encoding.memo import LruMemo, MemoConfig
+from repro.encoding.memo import LruMemo
 from repro.encoding.slde import SldeCodec, LogWriteContext
 from repro.encoding.flipnwrite import FlipNWriteCodec
 from repro.encoding.expansion import ExpansionPolicy, map_bits_to_cells, cells_to_bits
@@ -38,7 +36,6 @@ __all__ = [
     "DldcCodec",
     "dldc_compress_pattern",
     "LruMemo",
-    "MemoConfig",
     "SldeCodec",
     "LogWriteContext",
     "FlipNWriteCodec",
@@ -48,32 +45,23 @@ __all__ = [
 ]
 
 
-def make_codec(
-    name: str,
-    expansion_enabled: bool = True,
-    memo: Optional[MemoConfig] = None,
-) -> WordCodec:
-    """Build a codec by configuration name (see EncodingConfig).
-
-    ``memo`` configures the result-inert codec memoization layer; codecs
-    without cacheable work (raw, Flip-N-Write) ignore it.
-    """
+def make_codec(name: str, expansion_enabled: bool = True) -> WordCodec:
+    """Build a codec by configuration name (see EncodingConfig)."""
     if name == "raw":
         return RawCodec()
     if name == "fpc":
-        return FpcCodec(expansion_enabled=False, memo=memo)
+        return FpcCodec(expansion_enabled=False)
     if name == "crade":
-        return CradeCodec(expansion_enabled=expansion_enabled, memo=memo)
+        return CradeCodec(expansion_enabled=expansion_enabled)
     if name == "bdi":
-        return BdiCodec(expansion_enabled=expansion_enabled, memo=memo)
+        return BdiCodec(expansion_enabled=expansion_enabled)
     if name == "flip-n-write":
         return FlipNWriteCodec()
     if name == "slde":
-        return SldeCodec(expansion_enabled=expansion_enabled, memo=memo)
+        return SldeCodec(expansion_enabled=expansion_enabled)
     if name == "slde-bdi":
         return SldeCodec(
             expansion_enabled=expansion_enabled,
-            alternative=BdiCodec(expansion_enabled=expansion_enabled, memo=memo),
-            memo=memo,
+            alternative=BdiCodec(expansion_enabled=expansion_enabled),
         )
     raise ValueError("unknown codec %r" % name)

@@ -90,9 +90,10 @@ class WordCodec:
         """Encode the words of one cache line in a single call.
 
         The NVM module hands a 64-byte line over as one batch instead of
-        eight separate calls; memoizing codecs override this to share one
-        cache probe per distinct word.  ``old_words``, when given, must be
-        parallel to ``words``.
+        eight separate calls; each word goes through :meth:`encode`, and
+        so through the codec's memo.  ``old_words``, when given, must be
+        parallel to ``words``.  Only SLDE overrides this, to forward the
+        line to its alternative codec.
         """
         encode = self.encode
         if old_words is None or self.context_free:
@@ -103,22 +104,24 @@ class WordCodec:
         raise NotImplementedError
 
     def memo_stats(self) -> dict:
-        """Hit/miss/eviction counters of this codec's memo layer(s).
+        """Hit/miss/eviction counters of this codec's memos.
 
         Keys are memo names (canonically sorted), values the dicts from
-        :meth:`repro.encoding.memo.LruMemo.stats`.  Codecs without a
-        memo — or with memoization disabled — report ``{}``.  Simple
-        memoizing codecs report their result cache under ``"encode"``;
-        composite codecs (SLDE) prefix their members' keys.
+        :meth:`repro.encoding.memo.LruMemo.stats`.  FPC, CRADE and BDI
+        report their result cache under ``"encode"``; SLDE reports its
+        decision memo under ``"log"`` and its alternative's with an
+        ``"alternative."`` prefix.  Codecs without a memo (raw,
+        Flip-N-Write, DLDC) report ``{}``.
         """
         memo = getattr(self, "_memo", None)
         return {"encode": memo.stats()} if memo is not None else {}
 
     def clear_memos(self) -> None:
-        """Drop the entries of this codec's memo layer(s).
+        """Drop the entries of this codec's memos.
 
         Result-inert: the next encodes recompute what the entries held.
-        The hit, miss and eviction counters stay.
+        The hit, miss and eviction counters stay.  A no-op for codecs
+        without a memo.
         """
         memo = getattr(self, "_memo", None)
         if memo is not None:

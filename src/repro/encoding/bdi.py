@@ -31,7 +31,7 @@ from typing import Optional
 from repro.common.bitops import WORD_BITS, WORD_MASK, mask_word
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.expansion import policy_for_size
-from repro.encoding.memo import MemoConfig
+from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, LruMemo
 
 BDI_TAG_BITS = 4
 
@@ -111,13 +111,9 @@ class BdiCodec(WordCodec):
     name = "bdi"
     context_free = True
 
-    def __init__(
-        self,
-        expansion_enabled: bool = True,
-        memo: Optional[MemoConfig] = None,
-    ) -> None:
+    def __init__(self, expansion_enabled: bool = True) -> None:
         self._expansion_enabled = expansion_enabled
-        self._memo = memo.make_memo() if memo is not None else None
+        self._memo = LruMemo(DEFAULT_MEMO_ENTRIES)
 
     def _compute(self, word: int) -> EncodedWord:
         tag, payload, bits = bdi_compress(word)
@@ -133,8 +129,6 @@ class BdiCodec(WordCodec):
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
         word &= WORD_MASK
         memo = self._memo
-        if memo is None:
-            return self._compute(word)
         encoded = memo.get(word)
         if encoded is None:
             encoded = self._compute(word)

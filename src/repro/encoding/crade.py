@@ -7,10 +7,7 @@ best-performing incomplete data mapping according to the compression ratio
 :class:`ExpansionPolicy` whose cheap-level capacity fits the FPC output.
 """
 
-from typing import Optional
-
 from repro.encoding.fpc import FPC_TAG_BITS, FpcCodec
-from repro.encoding.memo import MemoConfig
 
 
 class CradeCodec(FpcCodec):
@@ -22,9 +19,5 @@ class CradeCodec(FpcCodec):
     #: "encoding tag bit[s]" stored along with the data, section IV-B).
     tag_bits = FPC_TAG_BITS + 2
 
-    def __init__(
-        self,
-        expansion_enabled: bool = True,
-        memo: Optional[MemoConfig] = None,
-    ) -> None:
-        super().__init__(expansion_enabled, memo)
+    def __init__(self, expansion_enabled: bool = True) -> None:
+        super().__init__(expansion_enabled)

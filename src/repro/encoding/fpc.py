@@ -14,7 +14,7 @@ from typing import Optional
 from repro.common.bitops import WORD_BITS, WORD_MASK, mask_word, sign_extend
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.expansion import policy_for_size
-from repro.encoding.memo import FPC_SMALL_WORD_PREFIX, MemoConfig
+from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, FPC_SMALL_WORD_PREFIX, LruMemo
 
 FPC_TAG_BITS = 3
 
@@ -114,13 +114,9 @@ class FpcCodec(WordCodec):
     #: Sideband tag bits of every encoding: the 3-bit prefix.
     tag_bits = FPC_TAG_BITS
 
-    def __init__(
-        self,
-        expansion_enabled: bool = False,
-        memo: Optional[MemoConfig] = None,
-    ) -> None:
+    def __init__(self, expansion_enabled: bool = False) -> None:
         self._expansion_enabled = expansion_enabled
-        self._memo = memo.make_memo() if memo is not None else None
+        self._memo = LruMemo(DEFAULT_MEMO_ENTRIES)
         # prefix -> the cell mapping of its payload size.
         self._policies = tuple(
             policy_for_size(bits, expansion_enabled)
@@ -130,8 +126,7 @@ class FpcCodec(WordCodec):
     def encode_classified(self, word: int, prefix: int) -> EncodedWord:
         """Encode a 64-bit ``word`` whose FPC prefix is already known.
 
-        The compute step of :meth:`encode`, shared by its memoized and
-        unmemoized paths.
+        The compute step behind :meth:`encode`'s memo.
         """
         # The prefix lives in the per-word tag cells (CompEx stores
         # compression tags in a separate tag array); the payload alone
@@ -148,8 +143,6 @@ class FpcCodec(WordCodec):
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
         word &= WORD_MASK
         memo = self._memo
-        if memo is None:
-            return self.encode_classified(word, fpc_match(word))
         encoded = memo.get(word)
         if encoded is None:
             encoded = self.encode_classified(word, fpc_match(word))

@@ -17,24 +17,22 @@ the encoding package uses to make that cheap:
   for every dirty-byte count, so the pattern search can pick the winner
   by table lookup and build only the winning payload.
 
+Every memoizing codec (FPC, CRADE, BDI, SLDE) owns one
+``LruMemo(DEFAULT_MEMO_ENTRIES)``, always on.
 Memoization is *result-inert* by construction: a cache hit returns the
-same frozen ``EncodedWord`` the compute path would have produced (the
-equivalence is pinned by Hypothesis property tests and a system-level
-bit-identity test), and SLDE replays its trace decision hook on hits so
-observability is identical too.  The knobs live on
-:class:`repro.common.config.EncodingConfig` (``codec_memo``,
-``codec_memo_entries``) and are excluded from the grid result-cache keys
-because they cannot change results.
+same frozen ``EncodedWord`` the compute path would have produced (pinned
+by Hypothesis differentials against the same codec with its memos
+cleared before every call), and SLDE replays its trace decision hook on
+hits so observability is identical too.  Nothing about the memo enters a
+config, so grid cache keys and bench record digests never see it.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 from repro.common.bitops import WORD_BYTES, fits_signed
 
 __all__ = [
-    "MemoConfig",
     "LruMemo",
     "BYTE_FITS_SE2",
     "BYTE_FITS_SE4",
@@ -43,22 +41,10 @@ __all__ = [
     "FPC_SMALL_WORD_PREFIX",
 ]
 
-#: Default bound for each per-codec LRU.  Word values in the paper's
-#: workloads cluster far below this, so the default behaves like an
-#: unbounded cache while still capping worst-case memory.
+#: Bound of each codec's LRU.  Word values in the paper's workloads
+#: cluster far below this, so it behaves like an unbounded cache while
+#: still capping worst-case memory.
 DEFAULT_MEMO_ENTRIES = 1 << 13
-
-
-@dataclass(frozen=True)
-class MemoConfig:
-    """Configuration of the codec memo layer (see EncodingConfig)."""
-
-    enabled: bool = True
-    entries: int = DEFAULT_MEMO_ENTRIES
-
-    def make_memo(self) -> Optional["LruMemo"]:
-        """An :class:`LruMemo` under this config, or None when disabled."""
-        return LruMemo(self.entries) if self.enabled else None
 
 
 class LruMemo:

@@ -15,7 +15,7 @@ from repro.common.bitops import mask_word
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.crade import CradeCodec
 from repro.encoding.dldc import DldcCodec
-from repro.encoding.memo import MemoConfig
+from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, LruMemo
 
 ENCODING_TYPE_FLAG_BITS = 3
 
@@ -48,23 +48,21 @@ class SldeCodec(WordCodec):
         self,
         expansion_enabled: bool = True,
         alternative: Optional[WordCodec] = None,
-        memo: Optional[MemoConfig] = None,
     ) -> None:
         if alternative is None:
-            alternative = CradeCodec(expansion_enabled=expansion_enabled, memo=memo)
+            alternative = CradeCodec(expansion_enabled=expansion_enabled)
         self._alternative = alternative
         # DLDC keeps no memo: it is reached only through the decision
-        # memos below, whose keys cover its (word, dirty_mask) inputs.
+        # memo below, whose key covers its (word, dirty_mask) inputs.
         self._dldc = DldcCodec()
         self._expansion_enabled = expansion_enabled
         # SLDE delegates non-log encodes to the alternative, so its
         # context-freeness is the alternative's.
         self.context_free = alternative.context_free
-        # Decision memos.  The choice (and its hook report) is a pure
-        # function of the inputs below, so a hit replays the exact hook
+        # Per-word decision memo.  The choice (and its hook report) is a
+        # pure function of its key, so a hit replays the exact hook
         # arguments the compute path would have emitted.
-        self._log_memo = memo.make_memo() if memo is not None else None
-        self._pair_memo = memo.make_memo() if memo is not None else None
+        self._log_memo = LruMemo(DEFAULT_MEMO_ENTRIES)
         # Observation tap for the size comparator (installed by the NVM
         # module when tracing is on): called with
         # (word, chosen_method, chosen_bits, rejected_method,
@@ -80,21 +78,15 @@ class SldeCodec(WordCodec):
         return self._dldc
 
     def memo_stats(self) -> dict:
-        """All of SLDE's memo layers, member keys prefixed, sorted."""
-        stats = {}
-        if self._log_memo is not None:
-            stats["log"] = self._log_memo.stats()
-        if self._pair_memo is not None:
-            stats["pair"] = self._pair_memo.stats()
+        """The decision memo's counters and the alternative's, sorted."""
+        stats = {"log": self._log_memo.stats()}
         for name, counters in self._alternative.memo_stats().items():
             stats["alternative.%s" % name] = counters
         return dict(sorted(stats.items()))
 
     def clear_memos(self) -> None:
-        """Drop the decision memos' and the alternative's entries."""
-        for memo in (self._log_memo, self._pair_memo):
-            if memo is not None:
-                memo.clear()
+        """Drop the decision memo's and the alternative's entries."""
+        self._log_memo.clear()
         self._alternative.clear_memos()
 
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
@@ -161,8 +153,6 @@ class SldeCodec(WordCodec):
         undo+redo pair (or vice versa) is a hit.
         """
         memo = self._log_memo
-        if memo is None:
-            return self._choose(word, old_word, dirty_mask, allow_dldc)
         # A context-free alternative ignores the old word, so dropping
         # it from the key multiplies the hit rate.
         old_key = None if self._alternative.context_free else old_word
@@ -188,18 +178,21 @@ class SldeCodec(WordCodec):
             self.decision_hook(*hook)
         return chosen
 
-    def _choose_pair(
+    def encode_undo_redo_pair(
         self,
         undo_word: int,
         redo_word: int,
         dirty_mask: int,
-    ) -> Tuple[EncodedWord, EncodedWord, tuple, tuple]:
-        """Pure pair decision: both sides, conflicts resolved, hooks built.
+    ) -> Tuple[EncodedWord, EncodedWord]:
+        """Encode both sides of an undo+redo entry.
 
-        Per-side decisions go through :meth:`_choose_cached`, so the pair
-        path and ``encode_log`` share one per-word memo; the pair memo on
-        top of it caches only the (cheap) conflict resolution.
+        At most one side may use DLDC (section IV-B): if both would pick
+        DLDC, keep it for the side where it saves more and fall back to the
+        alternative codec for the other.  Each side's decision goes through
+        the per-word memo that ``encode_log`` shares.
         """
+        undo_word = mask_word(undo_word)
+        redo_word = mask_word(redo_word)
         undo_enc, undo_hook, undo_alt = self._choose_cached(
             undo_word, redo_word, dirty_mask, True
         )
@@ -238,32 +231,6 @@ class SldeCodec(WordCodec):
                     undo_alt.silent,
                 )
                 undo_enc = undo_alt
-        return undo_enc, redo_enc, undo_hook, redo_hook
-
-    def encode_undo_redo_pair(
-        self,
-        undo_word: int,
-        redo_word: int,
-        dirty_mask: int,
-    ) -> Tuple[EncodedWord, EncodedWord]:
-        """Encode both sides of an undo+redo entry.
-
-        At most one side may use DLDC (section IV-B): if both would pick
-        DLDC, keep it for the side where it saves more and fall back to the
-        alternative codec for the other.
-        """
-        undo_word = mask_word(undo_word)
-        redo_word = mask_word(redo_word)
-        memo = self._pair_memo
-        if memo is None:
-            result = self._choose_pair(undo_word, redo_word, dirty_mask)
-        else:
-            key = (undo_word, redo_word, dirty_mask)
-            result = memo.get(key)
-            if result is None:
-                result = self._choose_pair(undo_word, redo_word, dirty_mask)
-                memo.put(key, result)
-        undo_enc, redo_enc, undo_hook, redo_hook = result
         hook = self.decision_hook
         if hook is not None:
             hook(*undo_hook)

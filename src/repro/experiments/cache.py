@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.system import RunResult
-from repro.experiments.serialize import (
-    run_result_from_dict,
-    run_result_to_dict,
-    strip_result_inert_encoding,
-)
+from repro.experiments.serialize import run_result_from_dict, run_result_to_dict
 
 # Bump when the key schema, the stored result format, *or the simulated
 # results themselves* change; every existing entry then misses instead of
@@ -60,17 +56,11 @@ def cell_key_fields(
 ) -> Dict[str, Any]:
     """The exact dict that is hashed into a cache key.
 
-    Result-inert encoding fields (the codec-memo knobs — see
-    :data:`repro.experiments.serialize.RESULT_INERT_ENCODING_FIELDS`) are
-    dropped here: memoization cannot change a cell's result, so toggling
-    it must map to the same key.
-
     ``trace_digest`` identifies the recorded trace a *replay* cell runs
     from (:meth:`repro.replay.StoreTrace.digest`); it joins the key only
     when set, so direct-run cells keep their historical keys, while any
     edit to a trace — content, metadata or container version — misses.
     """
-    config_dict = strip_result_inert_encoding(config_dict)
     fields = {
         "version": CACHE_VERSION,
         "design": design,
@@ -105,7 +95,7 @@ def traffic_key_fields(
         "kind": "traffic",
         "design": design,
         "traffic": traffic_dict,
-        "config": strip_result_inert_encoding(config_dict),
+        "config": config_dict,
         "repro_scale": repro_scale,
     }
 

@@ -30,8 +30,9 @@ from repro.common.errors import SimulationError
 from repro.experiments.parallel import CellSpec, spec_from_dict, spec_to_dict
 
 #: Bump when the manifest schema changes; old manifests then fail loudly
-#: instead of misparsing.
-MANIFEST_VERSION = 1
+#: instead of misparsing.  Version 2: a spec's encoding config no
+#: longer carries the codec-memo switch and its entry bound.
+MANIFEST_VERSION = 2
 
 
 class ManifestError(SimulationError):

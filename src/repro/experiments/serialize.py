@@ -51,33 +51,6 @@ def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
     return asdict(config)
 
 
-#: Encoding-config fields that cannot change any run result (the codec
-#: memoization layer is result-inert by construction, pinned by
-#: tests/test_codec_memo.py).  They are stripped from grid cache keys so
-#: toggling them neither invalidates cached results nor forks the key
-#: space.
-RESULT_INERT_ENCODING_FIELDS = ("codec_memo", "codec_memo_entries")
-
-
-def strip_result_inert_encoding(config_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """``config_dict`` with the result-inert encoding fields removed.
-
-    The single home of the stripping logic: cache keys must go through
-    this, while worker processes get the full :func:`config_to_dict` so
-    the knobs round-trip.  Returns the input unchanged (same object) when
-    no knob is present, so pre-knob dicts pass through untouched.
-    """
-    encoding = config_dict.get("encoding")
-    if not encoding or not any(
-        name in encoding for name in RESULT_INERT_ENCODING_FIELDS
-    ):
-        return config_dict
-    encoding = {
-        k: v for k, v in encoding.items() if k not in RESULT_INERT_ENCODING_FIELDS
-    }
-    return dict(config_dict, encoding=encoding)
-
-
 def config_from_dict(data: Dict[str, Any]) -> SystemConfig:
     caches = data["caches"]
     return SystemConfig(

@@ -69,12 +69,6 @@ class HardwareLogger(CacheListener):
         # Trace bus (see repro.trace), installed by System.install_tracer.
         # Observation-only: emissions never touch simulated state or time.
         self.tracer = None
-        # Interned LogWriteContext instances, see _log_context.
-        self._context_cache: dict = {}
-
-    #: Bound on interned contexts; the cache resets wholesale past it
-    #: (values are frozen, so dropping them is always safe).
-    _CONTEXT_CACHE_MAX = 4096
 
     def on_data_persisted(self, line_addr: int, now_ns: float) -> None:
         if self.data_persisted_hook is not None:
@@ -163,31 +157,14 @@ class HardwareLogger(CacheListener):
     # Shared log-write plumbing
     # ------------------------------------------------------------------
 
-    def clear_context_cache(self) -> None:
-        """Drop the interned contexts (result-inert; see _log_context)."""
-        self._context_cache.clear()
-
-    def _log_context(self, entry: LogEntry) -> Optional[LogWriteContext]:
-        if not self.use_dirty_flags:
-            return None
-        # Contexts repeat heavily (same undo value + dirty mask across a
-        # workload's store stream); intern them so the SLDE hot path and
-        # its memo keys reuse one frozen instance per distinct pair.
-        key = (entry.undo, entry.dirty_mask)
-        context = self._context_cache.get(key)
-        if context is None:
-            if len(self._context_cache) >= self._CONTEXT_CACHE_MAX:
-                self._context_cache.clear()
-            context = LogWriteContext(old_word=entry.undo, dirty_mask=entry.dirty_mask)
-            self._context_cache[key] = context
-        return context
-
     def persist_entry(self, entry: LogEntry, now_ns: float) -> WriteSchedule:
         """Write one buffer entry to the log region."""
         plan = self.crash_plan
         if plan is not None:
             plan.fire("log-append", txid=entry.txid, addr=entry.addr)
-        context = self._log_context(entry)
+        context = None
+        if self.use_dirty_flags:
+            context = LogWriteContext(old_word=entry.undo, dirty_mask=entry.dirty_mask)
         undo = None
         if entry.type is EntryType.UNDO_REDO:
             undo = LogDataWord(entry.undo, context)

@@ -29,7 +29,6 @@ from repro.logging_hw.buffers import LogBuffer
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
-from repro.memory.dram import DRAM_WRITE_NS
 
 
 class RedoOnlyLogger(HardwareLogger):

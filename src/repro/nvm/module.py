@@ -24,7 +24,6 @@ from repro.common.config import EncodingConfig, NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding import make_codec
 from repro.encoding.base import EncodedWord, WordCodec
-from repro.encoding.memo import MemoConfig
 from repro.encoding.slde import LogWriteContext, SldeCodec
 from repro.nvm.array import NvmArray, WriteCost
 from repro.nvm.timing import BankTiming, WriteSchedule
@@ -77,15 +76,11 @@ class NvmModule:
         self.timing = BankTiming(nvm_config, self.stats, line_bytes)
         self._nvm_config = nvm_config
         self._encoding_config = encoding_config
-        memo = MemoConfig(
-            enabled=encoding_config.codec_memo,
-            entries=encoding_config.codec_memo_entries,
-        )
         self.data_codec: WordCodec = make_codec(
-            encoding_config.data_codec, encoding_config.expansion_enabled, memo
+            encoding_config.data_codec, encoding_config.expansion_enabled
         )
         self.log_codec: WordCodec = make_codec(
-            encoding_config.log_codec, encoding_config.expansion_enabled, memo
+            encoding_config.log_codec, encoding_config.expansion_enabled
         )
         # The log codec when it is SLDE (undo+redo pairs, dirty contexts).
         self._slde: Optional[SldeCodec] = (
@@ -118,12 +113,12 @@ class NvmModule:
     def memo_stats(self) -> dict:
         """Codec-memo counters for both codecs, canonically ordered.
 
-        ``{"data.<memo>": counters, "log.<memo>": counters}`` — empty
-        when memoization is disabled.  Surfaced by ``metrics_snapshot``
-        under its ``memo`` key so bench records capture cache
-        effectiveness alongside throughput.  Hits, misses and evictions
-        count the whole run; ``entries`` reads 0 once the run is
-        drained (:meth:`clear_memos`).
+        ``{"data.<memo>": counters, "log.<memo>": counters}``; a codec
+        without a memo (raw, Flip-N-Write) adds no key.  Surfaced by
+        ``metrics_snapshot`` under its ``memo`` key so bench records
+        capture cache effectiveness alongside throughput.  Hits, misses
+        and evictions count the whole run; ``entries`` reads 0 once the
+        run is drained (:meth:`clear_memos`).
         """
         stats = {}
         for prefix, codec in (("data", self.data_codec), ("log", self.log_codec)):

@@ -20,11 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.bench.records import HIGHER, INFO, LOWER, BenchRecord, record
 from repro.experiments.cache import PayloadCache, traffic_key_fields
 from repro.experiments.parallel import GridReport
-from repro.experiments.serialize import (
-    config_to_dict,
-    stable_hash,
-    strip_result_inert_encoding,
-)
+from repro.experiments.serialize import config_to_dict, stable_hash
 from repro.traffic.engine import (
     TrafficConfig,
     TrafficResult,
@@ -243,7 +239,7 @@ def sweep_records(outcome: SweepOutcome, config=None) -> List[BenchRecord]:
     scenario = traffic_config_to_dict(outcome.traffic)
     scenario.pop("offered_tx_per_s")
     digest = stable_hash({
-        "config": strip_result_inert_encoding(config_to_dict(config)),
+        "config": config_to_dict(config),
         "traffic": scenario,
         "scale": repro_scale(),
     })

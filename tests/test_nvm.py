@@ -12,7 +12,7 @@ from repro.common.config import (
 from repro.common.stats import StatGroup
 from repro.encoding.base import RawCodec
 from repro.encoding.slde import LogWriteContext
-from repro.nvm.array import NvmArray, TAG_CELLS
+from repro.nvm.array import NvmArray
 from repro.nvm.cell import program_cost
 from repro.nvm.module import LogDataWord, NvmModule, WriteKind
 from repro.nvm.timing import BankTiming, WriteQueue
