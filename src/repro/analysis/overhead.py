@@ -58,7 +58,7 @@ def morphable_logging_overhead(config: SystemConfig) -> HardwareOverhead:
     the published 16 B registers / 40-bit line extension / 404 B / 552 B /
     20 B rows.
     """
-    with_dirty = config.encoding.log_codec == "slde"
+    with_dirty = config.encoding.dirty_flags
     gran = config.encoding.dirty_flag_granularity_bytes
     ur_bits = _entry_bits(2, with_dirty, gran)
     redo_bits = _entry_bits(1, with_dirty, gran)

@@ -107,9 +107,6 @@ def attach_wal_checker(system, forward_to=None) -> WalChecker:
     checker = WalChecker(forward_to=forward_to)
     system.trace = checker
     system.controller.data_write_observer = checker.on_data_write
-    regions = getattr(system.log_region, "regions", None)
-    if regions is None:
-        regions = [system.log_region]
-    for region in regions:
+    for region in system.log_region.regions:
         region.append_observer = checker.on_log_append
     return checker

@@ -1,7 +1,7 @@
 """A set-associative, write-back, LRU cache."""
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.cache.cacheline import CacheLine
 from repro.common.config import CacheLevelConfig

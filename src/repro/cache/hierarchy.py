@@ -15,7 +15,7 @@ The hardware loggers observe the hierarchy through :class:`CacheListener`:
   it to discard now-unnecessary redo buffer entries.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.cache import SetAssocCache
 from repro.cache.cacheline import CacheLine

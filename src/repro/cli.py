@@ -1231,7 +1231,6 @@ def _cmd_traffic(args) -> int:
 
     if args.crash_fraction is not None:
         from repro.traffic.sweep import resolve_traffic_cell
-        from repro.experiments.serialize import config_from_dict
 
         rows = []
         for design in designs:

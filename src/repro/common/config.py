@@ -193,6 +193,11 @@ class EncodingConfig:
     # only dirty words, so clean words — and silent log writes — survive).
     secure_mode: str = "none"
 
+    @property
+    def dirty_flags(self) -> bool:
+        """SLDE dirty flags exist whenever the log codec is SLDE-based."""
+        return self.log_codec in ("slde", "slde-bdi")
+
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -39,35 +39,47 @@ from typing import Optional, Tuple
 from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.core.system import System
-from repro.logging_hw.fwb import FwbLogger
+from repro.logging_hw.checkpoint import CheckpointUndoLogger
+from repro.logging_hw.fwb import FwbLogger, FwbUnsafeLogger
+from repro.logging_hw.incll import InCllLogger
 from repro.logging_hw.morlog import MorLogLogger
+from repro.logging_hw.paging import PagingLogger
+from repro.logging_hw.redo_only import RedoOnlyLogger
+from repro.logging_hw.undo_only import UndoOnlyLogger
 
-DESIGN_NAMES = (
-    "FWB-CRADE",
-    "FWB-Unsafe",
-    "FWB-SLDE",
-    "MorLog-CRADE",
-    "MorLog-SLDE",
-    "MorLog-DP",
-)
+# Design name -> (logger factory, log codec, delay persistence), one
+# table per group, in presentation order.  The paper's six:
+_PAPER_DESIGNS = {
+    "FWB-CRADE": (FwbLogger, "crade", False),
+    "FWB-Unsafe": (FwbUnsafeLogger, "crade", False),
+    "FWB-SLDE": (FwbLogger, "slde", False),
+    "MorLog-CRADE": (MorLogLogger, "crade", False),
+    "MorLog-SLDE": (MorLogLogger, "slde", False),
+    "MorLog-DP": (MorLogLogger, "slde", True),
+}
 
 # Ablation-only baselines from the paper's section II-A taxonomy (Figure
 # 1): undo-only logging (ATOM-style, forced data write-back at commit)
 # and redo-only logging (ReDU/DHTM-style, DRAM-staged in-flight lines).
 # Not part of the paper's evaluated set.
-ABLATION_DESIGN_NAMES = ("Undo-CRADE", "Redo-CRADE")
+_ABLATION_DESIGNS = {
+    "Undo-CRADE": (UndoOnlyLogger, "crade", False),
+    "Redo-CRADE": (RedoOnlyLogger, "crade", False),
+}
 
 # Extension designs: alternative persistence mechanisms evaluated as
 # first-class citizens of the same harness (fault sweep, grid, traffic,
 # figures).  Not part of the paper's evaluated set either.
-EXTENSION_DESIGN_NAMES = ("InCLL-CRADE", "CoW-Page", "Ckpt-Undo")
+_EXTENSION_DESIGNS = {
+    "InCLL-CRADE": (InCllLogger, "crade", False),
+    "CoW-Page": (PagingLogger, "crade", False),
+    "Ckpt-Undo": (CheckpointUndoLogger, "crade", False),
+}
 
-_CRADE_DESIGNS = frozenset(
-    ("FWB-CRADE", "FWB-Unsafe", "MorLog-CRADE")
-    + ABLATION_DESIGN_NAMES
-    + EXTENSION_DESIGN_NAMES
-)
-_SLDE_DESIGNS = frozenset(("FWB-SLDE", "MorLog-SLDE", "MorLog-DP"))
+DESIGN_NAMES = tuple(_PAPER_DESIGNS)
+ABLATION_DESIGN_NAMES = tuple(_ABLATION_DESIGNS)
+EXTENSION_DESIGN_NAMES = tuple(_EXTENSION_DESIGNS)
+_DESIGNS = {**_PAPER_DESIGNS, **_ABLATION_DESIGNS, **_EXTENSION_DESIGNS}
 
 
 def available_designs(
@@ -87,19 +99,6 @@ def available_designs(
     return names
 
 
-def _design_config(name: str, base: SystemConfig) -> SystemConfig:
-    logging = base.logging
-    encoding = base.encoding
-    if name in _CRADE_DESIGNS:
-        encoding = replace(encoding, log_codec="crade")
-    elif name in _SLDE_DESIGNS:
-        encoding = replace(encoding, log_codec="slde")
-    else:
-        raise ConfigError("unknown design %r" % name)
-    logging = replace(logging, delay_persistence=(name == "MorLog-DP"))
-    return base.with_changes(logging=logging, encoding=encoding)
-
-
 def make_system(
     name: str, config: Optional[SystemConfig] = None, trace=None
 ) -> System:
@@ -108,52 +107,12 @@ def make_system(
     ``trace`` takes a :class:`repro.trace.TraceConfig`; when enabled the
     built system carries a trace bus on every event-publishing layer.
     """
+    if name not in _DESIGNS:
+        raise ConfigError("unknown design %r" % name)
+    factory, log_codec, delay_persistence = _DESIGNS[name]
     base = config if config is not None else SystemConfig()
-    cfg = _design_config(name, base)
-
-    if name == "Undo-CRADE":
-        from repro.logging_hw.undo_only import UndoOnlyLogger
-
-        return System(cfg, UndoOnlyLogger, design_name=name, trace_config=trace)
-    if name == "Redo-CRADE":
-        from repro.logging_hw.redo_only import RedoOnlyLogger
-
-        return System(cfg, RedoOnlyLogger, design_name=name, trace_config=trace)
-    if name == "InCLL-CRADE":
-        from repro.logging_hw.incll import InCllLogger
-
-        return System(cfg, InCllLogger, design_name=name, trace_config=trace)
-    if name == "CoW-Page":
-        from repro.logging_hw.paging import PagingLogger
-
-        return System(cfg, PagingLogger, design_name=name, trace_config=trace)
-    if name == "Ckpt-Undo":
-        from repro.logging_hw.checkpoint import CheckpointUndoLogger
-
-        return System(cfg, CheckpointUndoLogger, design_name=name, trace_config=trace)
-
-    if name.startswith("FWB"):
-        if name == "FWB-Unsafe":
-            # Buffer as large as undo+redo + redo combined, no age bound.
-            entries = (
-                cfg.logging.undo_redo_buffer_entries
-                + cfg.logging.redo_buffer_entries
-            )
-
-            def factory(config, controller, region, stats):
-                return FwbLogger(
-                    config, controller, region, stats,
-                    buffer_entries=entries, eager=False,
-                )
-        else:
-            def factory(config, controller, region, stats):
-                return FwbLogger(
-                    config, controller, region, stats,
-                    buffer_entries=config.logging.undo_redo_buffer_entries,
-                    eager=True,
-                )
-    else:
-        def factory(config, controller, region, stats):
-            return MorLogLogger(config, controller, region, stats)
-
+    cfg = base.with_changes(
+        logging=replace(base.logging, delay_persistence=delay_persistence),
+        encoding=replace(base.encoding, log_codec=log_codec),
+    )
     return System(cfg, factory, design_name=name, trace_config=trace)

@@ -156,11 +156,8 @@ class System:
         self.crash_plan = plan
         self.logger.crash_plan = plan
         self.controller.nvm.crash_plan = plan
-        if isinstance(self.log_region, LogRegionSet):
-            for region in self.log_region.regions:
-                region.crash_plan = plan
-        else:
-            self.log_region.crash_plan = plan
+        for region in self.log_region.regions:
+            region.crash_plan = plan
 
     def install_tracer(self, bus) -> None:
         """Attach a trace bus to every event-publishing layer.
@@ -173,11 +170,8 @@ class System:
         self.tracer = bus
         self.logger.tracer = bus
         self.controller.nvm.set_tracer(bus)
-        if isinstance(self.log_region, LogRegionSet):
-            for region in self.log_region.regions:
-                region.tracer = bus
-        else:
-            self.log_region.tracer = bus
+        for region in self.log_region.regions:
+            region.tracer = bus
 
     # ------------------------------------------------------------------
     # Core-visible memory operations
@@ -588,16 +582,10 @@ class System:
         """Run crash recovery against the current persistence domain."""
         from repro.logging_hw.recovery import recover
 
-        if isinstance(self.log_region, LogRegionSet):
-            bases = self.log_region.region_bases()
-            region_size = self.log_region.region_bytes
-        else:
-            bases = self.log_region.base_addr
-            region_size = self.config.logging.log_region_bytes
         state = recover(
             self.controller,
-            bases,
-            region_size,
+            self.log_region.region_bases(),
+            self.log_region.region_bytes,
             delay_persistence=self.config.logging.delay_persistence,
             verify_decode=verify_decode,
         )

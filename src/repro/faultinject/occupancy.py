@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.common.bitops import WORD_BYTES, WORDS_PER_LINE
-from repro.logging_hw.region import LogRegion, LogRegionSet
+from repro.logging_hw.region import LogRegion
 
 
 def log_regions(system) -> List[LogRegion]:
     """The system's log regions as a flat list (1 unless distributed)."""
-    if isinstance(system.log_region, LogRegionSet):
-        return list(system.log_region.regions)
-    return [system.log_region]
+    return list(system.log_region.regions)
 
 
 def log_occupancy(system) -> Dict[str, Any]:

@@ -19,8 +19,8 @@ sweep scheduler can run it at *every* persist boundary:
    records.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.logging_hw.entries import EntryType
 

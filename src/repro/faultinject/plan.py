@@ -15,7 +15,11 @@ threads) and crashing at the same index reproduces the same persistence
 domain bit for bit.  That is what makes counterexample schedules
 replayable.
 
-The crash-point catalogue (see docs/fault_injection.md):
+The crash-point catalogue (see docs/fault_injection.md).  The persist
+steps every logger shares fire theirs from ``logging_hw/base.py``:
+``forced-writeback`` on each undo-style commit (Undo-CRADE, Ckpt-Undo,
+InCLL-CRADE, CoW-Page) and ``wal-flush`` on any logger's write-ahead
+flush (FWB, undo-only, MorLog's undo+redo buffer).
 
 ==================  =====================================================
 point               fired
@@ -31,9 +35,9 @@ commit-persisted    after the commit record reached the log region
 data-writeback      before any in-place NVMM line write programs cells
 redo-drain          before MorLog turns a ULOG word into a redo entry
 nt-flush            before buffered non-temporal redo entries are forced
-forced-writeback    before undo-only logging force-writes a line at commit
+forced-writeback    before an undo-style commit force-writes a line
 stage-release       before redo-only logging releases a staged line
-wal-flush           before FWB flushes write-ahead entries at an LLC evict
+wal-flush           before a logger's write-ahead flush at an LLC evict
 log-truncate        before the truncated head pointer is persisted
 fwb-scan            before a force-write-back scan starts
 embedded-write      before an InCLL embedded slot/epoch word is written
@@ -49,7 +53,7 @@ crash state.  The post-points (``*-persisted``) add named completion
 markers the invariant checker uses for durability reasoning.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 #: All crash-point names, in rough execution-order groups.

@@ -31,8 +31,8 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
 from repro.logging_hw.base import HardwareLogger, TransactionInfo
-from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry, ParsedMeta
-from repro.logging_hw.recovery import RecoveredState, ScannedRecord
+from repro.logging_hw.entries import EntryType, LogEntry
+from repro.logging_hw.recovery import RecoveredState, restore_undo_word
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
 from repro.nvm.module import WriteKind
@@ -124,8 +124,6 @@ class InCllLogger(HardwareLogger):
         self._tx_embedded: Dict[int, List[_EmbeddedEntry]] = {}
         # txid -> word addresses already undo-logged (first-store filter).
         self._tx_words: Dict[int, Set[int]] = {}
-        # (tid, txid) -> line bases for the forced write-back at commit.
-        self._tx_lines: Dict[Tuple[int, int], Set[int]] = {}
         self._committed: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -188,7 +186,7 @@ class InCllLogger(HardwareLogger):
     ) -> float:
         addr = line.base_addr + word_index * WORD_BYTES
         logged = self._tx_words.setdefault(tx.txid, set())
-        self._tx_lines.setdefault((tx.tid, tx.txid), set()).add(line.base_addr)
+        self._track_line(tx, line.base_addr)
         if addr in logged:
             # The oldest pre-transaction value is already captured.
             return now_ns
@@ -232,34 +230,14 @@ class InCllLogger(HardwareLogger):
         return now_ns + schedule.stall_ns
 
     def commit_tx(self, tx: TransactionInfo, now_ns: float) -> float:
-        last_accept = now_ns
-        for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
-            if self.hierarchy is None:
-                break
-            if self.crash_plan is not None:
-                self.crash_plan.fire("forced-writeback", txid=tx.txid, addr=base)
-            done = self.hierarchy.write_back_line(base, now_ns)
-            last_accept = max(last_accept, done)
-            self.stats.add("forced_data_write_backs")
-        record = CommitRecord(
-            tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
-        )
-        schedule = self.persist_commit(record, max(now_ns, last_accept))
-        now_ns = max(now_ns, last_accept, schedule.accept_ns)
+        now_ns = self._force_write_back(tx, now_ns)
+        now_ns = self._commit_record(tx, now_ns, now_ns)
         # Commit does not touch the embedded slots: they expire via the
         # epoch and become reusable the moment the holder is committed.
         self._committed.add(tx.txid)
         self._tx_embedded.pop(tx.txid, None)
         self._tx_words.pop(tx.txid, None)
-        tx.committed = True
-        tx.commit_ns = now_ns + self._commit_overhead_ns
-        return tx.commit_ns
-
-    def tick(self, now_ns: float) -> float:
-        return now_ns
-
-    def drain(self, now_ns: float) -> float:
-        return now_ns
+        return self._commit_tail(tx, now_ns)
 
     def on_fwb_scan(self, now_ns: float) -> float:
         """Advance the durable epoch; re-stamp open transactions' entries.
@@ -326,25 +304,4 @@ def recover_incll(
             + line_index * config.caches.line_bytes
             + word_index * WORD_BYTES
         )
-        array.write_logical(home, undo)
-        state.undone_words += 1
-        meta = ParsedMeta(
-            type=EntryType.UNDO,
-            tid=tid,
-            txid=txid,
-            torn=0,
-            ulog_counter=0,
-            seq=0,
-            addr=home,
-            dirty_mask=0xFF,
-            timestamp=0,
-        )
-        state.records.append(
-            ScannedRecord(
-                position=len(state.records),
-                offset=slot_index,
-                meta=meta,
-                data_words=(undo,),
-                region_base=aux_base,
-            )
-        )
+        restore_undo_word(array, state, home, undo, tid, txid, aux_base, slot_index)

@@ -25,7 +25,7 @@ With SLDE enabled, stores that do not change the word's value leave the
 state machine untouched entirely (Figure 11, "Write C1").
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.cache.cacheline import CacheLine, LogState
 from repro.common.bitops import WORD_BYTES, dirty_byte_mask
@@ -69,8 +69,6 @@ class MorLogLogger(HardwareLogger):
             stats=self.stats,
         )
         self._redo_enabled = log_cfg.redo_buffer_entries > 0
-        # (tid, txid) -> L1 line bases holding live log state for that tx.
-        self._tx_lines: Dict[Tuple[int, int], Set[int]] = {}
         # (tid, txid) -> redo-buffer keys of non-temporal stores, which
         # must be persisted ahead of the commit record (section III-F).
         self._nt_keys: Dict[Tuple[int, int], Set[Tuple[int, int, int]]] = {}
@@ -172,13 +170,12 @@ class MorLogLogger(HardwareLogger):
         # order monotone (recovery replays in log order).
         if self._redo_enabled and self.redo_buffer.pop_key(entry.key) is not None:
             self.stats.add("redo_superseded_discards")
-        evicted = self.ur_buffer.insert(entry, now_ns)
-        now_ns = self._persist_ur_entries(evicted, now_ns)
+        now_ns = self._persist_many(self.ur_buffer.insert(entry, now_ns), now_ns)[0]
         line.tid = tx.tid
         line.txid = tx.txid
         line.set_state(word_index, LogState.DIRTY)
         line.word_dirty_flags[word_index] = mask_delta
-        self._tx_lines.setdefault((tx.tid, tx.txid), set()).add(line.base_addr)
+        self._track_line(tx, line.base_addr)
         if self.tracer is not None:
             self.tracer.emit(
                 "log-create",
@@ -204,13 +201,6 @@ class MorLogLogger(HardwareLogger):
     # Buffer eviction plumbing
     # ------------------------------------------------------------------
 
-    def _persist_ur_entries(self, entries: List[LogEntry], now_ns: float) -> float:
-        """Persist undo+redo entries and flip their words to URLOG."""
-        for entry in entries:
-            schedule = self.persist_entry(entry, now_ns)
-            now_ns += schedule.stall_ns
-        return now_ns
-
     def _entry_persisted(self, entry: LogEntry, now_ns: float) -> None:
         if entry.type is not EntryType.UNDO_REDO:
             return
@@ -232,7 +222,10 @@ class MorLogLogger(HardwareLogger):
                     **{"from": "DIRTY", "to": "URLOG"}
                 )
 
-    def _emit_redo(self, tid: int, txid: int, addr: int, value: int, mask: int, now_ns: float) -> float:
+    def _emit_redo(self, line: CacheLine, index: int, now_ns: float) -> float:
+        """Turn a ULOG word's in-line redo data into a redo entry."""
+        tid, txid = line.tid, line.txid
+        addr = line.base_addr + index * WORD_BYTES
         if self.crash_plan is not None:
             # A ULOG word's in-line redo data leave the L1 and become a
             # log entry here — the boundary the delay-persistence ulog
@@ -253,17 +246,18 @@ class MorLogLogger(HardwareLogger):
             tid=tid,
             txid=txid,
             addr=addr,
-            redo=value,
-            dirty_mask=mask if self.use_dirty_flags else 0xFF,
+            redo=line.word(index),
+            dirty_mask=line.word_dirty_flags[index] if self.use_dirty_flags else 0xFF,
         )
-        if not self._redo_enabled:
-            schedule = self.persist_entry(entry, now_ns)
-            return now_ns + schedule.stall_ns
-        evicted = self.redo_buffer.insert(entry, now_ns)
-        for victim in evicted:
-            schedule = self.persist_entry(victim, now_ns)
-            now_ns += schedule.stall_ns
-        return now_ns
+        return self._log_redo(entry, now_ns)
+
+    def _log_redo(self, entry: LogEntry, now_ns: float) -> float:
+        """Buffer a redo entry, or persist it at once without a redo buffer."""
+        if self._redo_enabled:
+            evicted = self.redo_buffer.insert(entry, now_ns)
+        else:
+            evicted = [entry]
+        return self._persist_many(evicted, now_ns)[0]
 
     def _close_out_line(self, line: CacheLine, now_ns: float) -> float:
         """Retire all log state another transaction left on this line."""
@@ -274,16 +268,9 @@ class MorLogLogger(HardwareLogger):
                 key = (tid, txid, line.base_addr + index * WORD_BYTES)
                 pending = self.ur_buffer.pop_key(key)
                 if pending is not None:
-                    now_ns = self._persist_ur_entries([pending], now_ns)
+                    now_ns = self._persist_many([pending], now_ns)[0]
             elif state is LogState.ULOG:
-                now_ns = self._emit_redo(
-                    tid,
-                    txid,
-                    line.base_addr + index * WORD_BYTES,
-                    line.word(index),
-                    line.word_dirty_flags[index],
-                    now_ns,
-                )
+                now_ns = self._emit_redo(line, index, now_ns)
         line.clear_log_state()
         lines = self._tx_lines.get((tid, txid))
         if lines is not None:
@@ -300,35 +287,21 @@ class MorLogLogger(HardwareLogger):
         return self._close_out_line(line, now_ns)
 
     def before_llc_write_back(self, line_addr: int, now_ns: float) -> float:
-        line_bytes = self.config.caches.line_bytes
         # Write-ahead ordering: undo data for this line must be in NVMM
         # before the in-place write (only FWB-scan write-backs of live L1
         # lines can still have buffered entries here).
-        pending = self.ur_buffer.pop_addr_range(line_addr, line_bytes)
-        if pending:
-            self.stats.add("wal_forced_flushes", len(pending))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal-flush",
-                    "log",
-                    now_ns,
-                    addr=line_addr,
-                    entries=len(pending),
-                )
-            now_ns = self._persist_ur_entries(pending, now_ns)
+        now_ns = self._wal_flush(self.ur_buffer, line_addr, now_ns)
         if not self._redo_enabled:
             return now_ns
         # The in-place data are about to persist; the buffered redo data
         # for this line are now redundant.
-        stale = self.redo_buffer.pop_addr_range(line_addr, line_bytes)
+        stale = self.redo_buffer.pop_addr_range(line_addr, self.config.caches.line_bytes)
         if stale:
             if self.unsafe_llc_redo_discard:
                 self.stats.add("redo_llc_discards", len(stale))
             else:
                 self.stats.add("redo_llc_flushes", len(stale))
-                for entry in stale:
-                    schedule = self.persist_entry(entry, now_ns)
-                    now_ns += schedule.stall_ns
+                now_ns = self._persist_many(stale, now_ns)[0]
         return now_ns
 
     # ------------------------------------------------------------------
@@ -336,8 +309,6 @@ class MorLogLogger(HardwareLogger):
     # ------------------------------------------------------------------
 
     def on_nt_store(self, tx, addr: int, value: int, now_ns: float) -> float:
-        from repro.logging_hw.entries import EntryType, LogEntry
-
         entry = LogEntry(
             type=EntryType.REDO,
             tid=tx.tid,
@@ -347,19 +318,14 @@ class MorLogLogger(HardwareLogger):
             dirty_mask=0xFF,
         )
         self.stats.add("nt_stores")
-        if not self._redo_enabled:
-            schedule = self.persist_entry(entry, now_ns)
-            return now_ns + schedule.stall_ns
-        self._nt_keys.setdefault((tx.tid, tx.txid), set()).add(entry.key)
-        for victim in self.redo_buffer.insert(entry, now_ns):
-            schedule = self.persist_entry(victim, now_ns)
-            now_ns += schedule.stall_ns
-        return now_ns
+        if self._redo_enabled:
+            self._nt_keys.setdefault((tx.tid, tx.txid), set()).add(entry.key)
+        return self._log_redo(entry, now_ns)
 
     def _flush_nt_entries(self, tx: TransactionInfo, now_ns: float) -> float:
         """Persist buffered non-temporal redo entries before the commit
         record, so recovery never misses a committed NT store."""
-        keys = self._nt_keys.get((tx.tid, tx.txid))
+        keys = self._nt_keys.pop((tx.tid, tx.txid), ())
         if keys and self.crash_plan is not None:
             self.crash_plan.fire("nt-flush", txid=tx.txid)
         if keys and self.tracer is not None:
@@ -371,12 +337,11 @@ class MorLogLogger(HardwareLogger):
                 txid=tx.txid,
                 entries=len(keys),
             )
-        for key in self._nt_keys.pop((tx.tid, tx.txid), ()):
-            entry = self.redo_buffer.pop_key(key)
-            if entry is not None:
-                schedule = self.persist_entry(entry, now_ns)
-                now_ns += schedule.stall_ns
-        return now_ns
+        # Lazily, so each entry leaves the buffer only when its turn to
+        # persist comes: an LLC write-back an earlier persist causes may
+        # flush or discard it first.
+        entries = filter(None, map(self.redo_buffer.pop_key, keys))
+        return self._persist_many(entries, now_ns)[0]
 
     # ------------------------------------------------------------------
     # Commit protocols
@@ -390,37 +355,19 @@ class MorLogLogger(HardwareLogger):
 
     def _commit_persistent(self, tx: TransactionInfo, now_ns: float) -> float:
         """Default protocol: commit implies both atomicity and persistence."""
-        last_accept = now_ns
-        for entry in self.ur_buffer.pop_tx(tx.tid, tx.txid):
-            schedule = self.persist_entry(entry, now_ns)
-            now_ns += schedule.stall_ns
-            last_accept = max(last_accept, schedule.accept_ns)
+        entries = self.ur_buffer.pop_tx(tx.tid, tx.txid)
+        now_ns, last_accept = self._persist_many(entries, now_ns)
         for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
             line = self._lookup_l1_line(tx.tid, base)
             if line is None or line.txid != tx.txid:
                 continue
             for index in line.words_in_state(LogState.ULOG):
-                now_ns = self._emit_redo(
-                    tx.tid,
-                    tx.txid,
-                    base + index * WORD_BYTES,
-                    line.word(index),
-                    line.word_dirty_flags[index],
-                    now_ns,
-                )
+                now_ns = self._emit_redo(line, index, now_ns)
             line.clear_log_state()
-        for entry in self.redo_buffer.pop_tx(tx.tid, tx.txid):
-            schedule = self.persist_entry(entry, now_ns)
-            now_ns += schedule.stall_ns
-            last_accept = max(last_accept, schedule.accept_ns)
-        record = CommitRecord(
-            tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
-        )
-        schedule = self.persist_commit(record, now_ns)
-        now_ns = max(now_ns, last_accept, schedule.accept_ns)
-        tx.committed = True
-        tx.commit_ns = now_ns + self._commit_overhead_ns
-        return tx.commit_ns
+        entries = self.redo_buffer.pop_tx(tx.tid, tx.txid)
+        now_ns, redo_accept = self._persist_many(entries, now_ns)
+        now_ns = self._commit_record(tx, now_ns, max(last_accept, redo_accept))
+        return self._commit_tail(tx, now_ns)
 
     def _commit_delay_persistence(self, tx: TransactionInfo, now_ns: float) -> float:
         """Delay-persistence protocol (section III-C): instant commit.
@@ -430,9 +377,7 @@ class MorLogLogger(HardwareLogger):
         the ulog counter so recovery can tell whether the transaction's
         redo data all reached the log.
         """
-        for entry in self.ur_buffer.pop_tx(tx.tid, tx.txid):
-            schedule = self.persist_entry(entry, now_ns)
-            now_ns += schedule.stall_ns
+        now_ns = self._persist_many(self.ur_buffer.pop_tx(tx.tid, tx.txid), now_ns)[0]
         ulog = 0
         for base in self._tx_lines.pop((tx.tid, tx.txid), ()):
             line = self._lookup_l1_line(tx.tid, base)
@@ -448,28 +393,21 @@ class MorLogLogger(HardwareLogger):
             timestamp=self.next_commit_timestamp(),
         )
         schedule = self.persist_commit(record, now_ns)
-        now_ns += schedule.stall_ns
         self.stats.add("dp_ulog_total", ulog)
-        tx.committed = True
-        tx.commit_ns = now_ns + self._commit_overhead_ns
-        return tx.commit_ns
+        return self._commit_tail(tx, now_ns + schedule.stall_ns)
 
     # ------------------------------------------------------------------
     # Background work
     # ------------------------------------------------------------------
 
     def tick(self, now_ns: float) -> float:
-        expired = self.ur_buffer.pop_expired(now_ns)
-        return self._persist_ur_entries(expired, now_ns)
+        return self._persist_many(self.ur_buffer.pop_expired(now_ns), now_ns)[0]
 
     def drain(self, now_ns: float) -> float:
-        now_ns = self._persist_ur_entries(self.ur_buffer.pop_all(), now_ns)
+        now_ns = self._persist_many(self.ur_buffer.pop_all(), now_ns)[0]
         if self.hierarchy is not None:
             for core, l1 in enumerate(self.hierarchy.l1s):
                 for line in list(l1.iter_lines()):
                     if line.txid is not None:
                         now_ns = self._close_out_line(line, now_ns)
-        for entry in self.redo_buffer.pop_all():
-            schedule = self.persist_entry(entry, now_ns)
-            now_ns += schedule.stall_ns
-        return now_ns
+        return self._persist_many(self.redo_buffer.pop_all(), now_ns)[0]

@@ -29,8 +29,7 @@ from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.stats import StatGroup
 from repro.logging_hw.base import HardwareLogger, TransactionInfo
-from repro.logging_hw.entries import CommitRecord, EntryType, ParsedMeta
-from repro.logging_hw.recovery import RecoveredState, ScannedRecord
+from repro.logging_hw.recovery import RecoveredState, restore_undo_word
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
 from repro.memory.pagetable import PageTable, paging_aux_base, unpack_pte_header
@@ -59,8 +58,6 @@ class PagingLogger(HardwareLogger):
         self._page_bytes = config.logging.page_bytes
         # txid -> {page_index: slot index} of pages already shadowed.
         self._tx_pages: Dict[int, Dict[int, int]] = {}
-        # (tid, txid) -> line bases for the forced write-back at commit.
-        self._tx_lines: Dict[Tuple[int, int], Set[int]] = {}
         self._committed: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -118,40 +115,20 @@ class PagingLogger(HardwareLogger):
         page_index = (line.base_addr - self.config.nvmm_base) // self._page_bytes
         if page_index not in self._tx_pages.get(tx.txid, ()):
             now_ns = self._copy_page_to_shadow(tx, page_index, now_ns)
-        self._tx_lines.setdefault((tx.tid, tx.txid), set()).add(line.base_addr)
+        self._track_line(tx, line.base_addr)
         return now_ns
 
     def commit_tx(self, tx: TransactionInfo, now_ns: float) -> float:
-        last_accept = now_ns
-        for base in sorted(self._tx_lines.pop((tx.tid, tx.txid), ())):
-            if self.hierarchy is None:
-                break
-            if self.crash_plan is not None:
-                self.crash_plan.fire("forced-writeback", txid=tx.txid, addr=base)
-            done = self.hierarchy.write_back_line(base, now_ns)
-            last_accept = max(last_accept, done)
-            self.stats.add("forced_data_write_backs")
+        now_ns = self._force_write_back(tx, now_ns)
         # The commit record is the atomic mapping flip: before it, the
         # shadows are authoritative (recovery restores them); after it,
         # the home pages are.
         if self.crash_plan is not None:
             self.crash_plan.fire("page-flip", txid=tx.txid)
-        record = CommitRecord(
-            tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
-        )
-        schedule = self.persist_commit(record, max(now_ns, last_accept))
-        now_ns = max(now_ns, last_accept, schedule.accept_ns)
+        now_ns = self._commit_record(tx, now_ns, now_ns)
         self._committed.add(tx.txid)
         self._tx_pages.pop(tx.txid, None)
-        tx.committed = True
-        tx.commit_ns = now_ns + self._commit_overhead_ns
-        return tx.commit_ns
-
-    def tick(self, now_ns: float) -> float:
-        return now_ns
-
-    def drain(self, now_ns: float) -> float:
-        return now_ns
+        return self._commit_tail(tx, now_ns)
 
     def on_fwb_scan(self, now_ns: float) -> float:
         """Advance the watermark past every closed transaction's slots.
@@ -211,27 +188,8 @@ def recover_paging(
         shadow = table.shadow_addr(slot)
         page_base = config.nvmm_base + page_index * config.logging.page_bytes
         for i in range(page_words):
-            value = array.read_logical(shadow + i * WORD_BYTES)
-            home = page_base + i * WORD_BYTES
-            array.write_logical(home, value)
-            state.undone_words += 1
-            meta = ParsedMeta(
-                type=EntryType.UNDO,
-                tid=tid,
-                txid=txid,
-                torn=0,
-                ulog_counter=0,
-                seq=0,
-                addr=home,
-                dirty_mask=0xFF,
-                timestamp=0,
-            )
-            state.records.append(
-                ScannedRecord(
-                    position=len(state.records),
-                    offset=slot * page_words + i,
-                    meta=meta,
-                    data_words=(value,),
-                    region_base=paging_aux_base(config),
-                )
+            restore_undo_word(
+                array, state, page_base + i * WORD_BYTES,
+                array.read_logical(shadow + i * WORD_BYTES),
+                tid, txid, paging_aux_base(config), slot * page_words + i,
             )

@@ -71,6 +71,28 @@ class RecoveredState:
     decode_verified_words: int = 0
 
 
+def restore_undo_word(
+    array, state: RecoveredState, home: int, undo: int,
+    tid: int, txid: int, region_base: int, offset: int,
+) -> None:
+    """Roll a home word back to design-private undo data.
+
+    For the design-private passes (InCLL slots, CoW shadow pages): the
+    write goes through ``array.write_logical``, so the sweep's journaled
+    probes roll it back, and the word's synthetic ``UNDO`` record (at
+    ``offset`` of ``region_base``) joins ``state.records`` for the
+    oracle's idempotence probe.
+    """
+    array.write_logical(home, undo)
+    state.undone_words += 1
+    meta = ParsedMeta(type=EntryType.UNDO, tid=tid, txid=txid, torn=0,
+                      ulog_counter=0, seq=0, addr=home, dirty_mask=0xFF,
+                      timestamp=0)
+    state.records.append(
+        ScannedRecord(len(state.records), offset, meta, (undo,), region_base)
+    )
+
+
 def scan_log(
     controller: MemoryController, region_base: int, region_size: int
 ) -> List[ScannedRecord]:

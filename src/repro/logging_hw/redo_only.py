@@ -18,44 +18,37 @@ that mechanism:
   in-flight transactions need nothing — their data never touched NVMM.
 """
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cache.cacheline import CacheLine
-from repro.common.bitops import WORD_BYTES, dirty_byte_mask
+from repro.cache.hierarchy import CacheListener
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
-from repro.logging_hw.base import HardwareLogger, TransactionInfo
-from repro.logging_hw.buffers import LogBuffer
-from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
+from repro.logging_hw.base import SingleBufferLogger, TransactionInfo
+from repro.logging_hw.entries import EntryType
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
 
 
-class RedoOnlyLogger(HardwareLogger):
+class RedoOnlyLogger(SingleBufferLogger):
     """Redo logging with a DRAM staging cache for in-flight write-backs."""
 
     name = "redo-only"
+    entry_type = EntryType.REDO
+    combined_buffer = True
+    # Redo data have no write-ahead deadline: in-flight lines are staged.
+    before_llc_write_back = CacheListener.before_llc_write_back
 
     def __init__(
         self,
         config: SystemConfig,
         controller: MemoryController,
         region: LogRegion,
-        stats: StatGroup = None,
+        stats: Optional[StatGroup] = None,
     ) -> None:
         super().__init__(config, controller, region, stats)
-        self.buffer = LogBuffer(
-            "redo_only_buffer",
-            config.logging.undo_redo_buffer_entries
-            + config.logging.redo_buffer_entries,
-            self._evict_age_ns,
-            drop_silent=self.use_dirty_flags,
-            stats=self.stats,
-        )
         # line base -> set of in-flight (tid, txid) with words on it.
         self._inflight_lines: Dict[int, Set[Tuple[int, int]]] = {}
-        # (tid, txid) -> line bases it wrote.
-        self._tx_lines: Dict[Tuple[int, int], Set[int]] = {}
         # The DRAM stage: line base -> words (diverted write-backs).
         self.stage: Dict[int, List[int]] = {}
         controller.read_interceptor = self._read_staged
@@ -92,10 +85,6 @@ class RedoOnlyLogger(HardwareLogger):
             self.stats.add("stage_releases")
         return now_ns
 
-    # ------------------------------------------------------------------
-    # Hot path
-    # ------------------------------------------------------------------
-
     def on_store(
         self,
         tx: TransactionInfo,
@@ -105,40 +94,15 @@ class RedoOnlyLogger(HardwareLogger):
         new_word: int,
         now_ns: float,
     ) -> float:
-        mask = dirty_byte_mask(old_word, new_word) if self.use_dirty_flags else 0xFF
-        entry = LogEntry(
-            type=EntryType.REDO,
-            tid=tx.tid,
-            txid=tx.txid,
-            addr=line.base_addr + word_index * WORD_BYTES,
-            redo=new_word,
-            dirty_mask=mask,
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                "log-create",
-                "log",
-                now_ns,
-                core=tx.tid,
-                txid=tx.txid,
-                addr=entry.addr,
-                entry="redo",
-            )
-        evicted = self.buffer.insert(entry, now_ns)
-        now_ns, _accept = self._persist_many(evicted, now_ns)
-        key = (tx.tid, tx.txid)
-        self._inflight_lines.setdefault(line.base_addr, set()).add(key)
-        self._tx_lines.setdefault(key, set()).add(line.base_addr)
+        now_ns = super().on_store(tx, line, word_index, old_word, new_word, now_ns)
+        self._inflight_lines.setdefault(line.base_addr, set()).add((tx.tid, tx.txid))
+        self._track_line(tx, line.base_addr)
         return now_ns
 
     def commit_tx(self, tx: TransactionInfo, now_ns: float) -> float:
         entries = self.buffer.pop_tx(tx.tid, tx.txid)
         now_ns, last_accept = self._persist_many(entries, now_ns)
-        record = CommitRecord(
-            tid=tx.tid, txid=tx.txid, timestamp=self.next_commit_timestamp()
-        )
-        schedule = self.persist_commit(record, now_ns)
-        now_ns = max(now_ns, last_accept, schedule.accept_ns)
+        now_ns = self._commit_record(tx, now_ns, last_accept)
         # The transaction no longer blocks its lines; release any staged
         # ones that have no other in-flight holders.
         key = (tx.tid, tx.txid)
@@ -149,20 +113,11 @@ class RedoOnlyLogger(HardwareLogger):
                 holders.discard(key)
                 if not holders:
                     del self._inflight_lines[base]
-        now_ns = self._release_stage(bases, now_ns)
-        tx.committed = True
-        tx.commit_ns = now_ns + self._commit_overhead_ns
-        return tx.commit_ns
-
-    def tick(self, now_ns: float) -> float:
-        expired = self.buffer.pop_expired(now_ns)
-        now_ns, _accept = self._persist_many(expired, now_ns)
-        return now_ns
+        return self._commit_tail(tx, self._release_stage(bases, now_ns))
 
     def drain(self, now_ns: float) -> float:
-        now_ns, _accept = self._persist_many(self.buffer.pop_all(), now_ns)
+        now_ns = super().drain(now_ns)
         # Any leftover staged lines belong to committed transactions by
         # now (the run loop commits everything before draining).
         self._inflight_lines.clear()
-        now_ns = self._release_stage(list(self.stage), now_ns)
-        return now_ns
+        return self._release_stage(list(self.stage), now_ns)

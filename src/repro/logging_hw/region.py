@@ -15,18 +15,12 @@ the entry, the tail jumps back to the first entry slot and the pass parity
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.common.bitops import WORD_BYTES, WORDS_PER_LINE
 from repro.common.errors import LogOverflowError
 from repro.common.stats import StatGroup
-from repro.logging_hw.entries import (
-    CommitRecord,
-    EntryType,
-    LogEntry,
-    SEQ_MODULUS,
-    pack_meta_words,
-)
+from repro.logging_hw.entries import EntryType, SEQ_MODULUS, pack_meta_words
 from repro.memory.controller import MemoryController
 from repro.nvm.module import LogDataWord, WriteKind
 from repro.nvm.timing import WriteSchedule
@@ -63,6 +57,7 @@ class LogRegion:
             raise ValueError("log region size must be word aligned")
         self.controller = controller
         self.base_addr = base_addr
+        self.region_bytes = size_bytes
         self.n_slots = size_bytes // WORD_BYTES
         if self.n_slots <= CONTROL_SLOTS + MAX_ENTRY_SLOTS:
             raise ValueError("log region too small")
@@ -101,6 +96,14 @@ class LogRegion:
 
     def slot_addr(self, offset: int) -> int:
         return self.base_addr + offset * WORD_BYTES
+
+    @property
+    def regions(self) -> List["LogRegion"]:
+        """This region alone: the shape :class:`LogRegionSet` answers."""
+        return [self]
+
+    def region_bases(self) -> List[int]:
+        return [self.base_addr]
 
     # ------------------------------------------------------------------
     # Producer side

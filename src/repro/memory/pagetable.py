@@ -26,7 +26,6 @@ only past slots whose transactions have closed.
 
 from typing import Tuple
 
-from repro.common.bitops import WORD_BYTES
 from repro.common.config import SystemConfig
 from repro.memory.controller import MemoryController
 from repro.nvm.module import WriteKind

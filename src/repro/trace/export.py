@@ -22,8 +22,6 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.trace.events import (
     CATEGORIES,
-    EVENT_SCHEMA,
-    RESERVED_ARG_KEYS,
     SCHEMA_VERSION,
     TraceEvent,
     validate_event,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Sequence
 
 from repro.faultinject.occupancy import RecoveryProfile, recovery_profile
-from repro.traffic.engine import TrafficConfig, TrafficResult, run_traffic_system
+from repro.traffic.engine import TrafficConfig, run_traffic_system
 
 
 @dataclass(frozen=True)

@@ -99,3 +99,32 @@ class TestAsSldeAlternative:
         assert result.transactions == 40
         state = system.recover(verify_decode=True)
         assert len(state.persisted_txids) == 40
+
+    def test_slde_bdi_keeps_slde_dirty_flags(self):
+        """The BDI alternative changes SLDE's codec, not its dirty flags:
+        MorLog skips the same silent stores under either log codec."""
+        from dataclasses import replace
+
+        from repro.core.system import System
+        from repro.logging_hw.morlog import MorLogLogger
+        from repro.workloads.base import WorkloadParams, make_workload
+        from tests.conftest import tiny_config
+
+        def run(log_codec):
+            config = tiny_config()
+            config = config.with_changes(
+                encoding=replace(config.encoding, log_codec=log_codec,
+                                 data_codec="bdi")
+            )
+            system = System(config, MorLogLogger, design_name="MorLog")
+            workload = make_workload(
+                "hash", WorkloadParams(initial_items=24, key_space=48)
+            )
+            return system, system.run(workload, 40, n_threads=2)
+
+        _slde_system, slde = run("slde")
+        bdi_system, bdi = run("slde-bdi")
+        assert slde.stats["silent_stores"] > 0
+        assert bdi.stats.get("silent_stores") == slde.stats["silent_stores"]
+        state = bdi_system.recover(verify_decode=True)
+        assert len(state.persisted_txids) == 40

@@ -91,6 +91,11 @@ def test_extension_designs_build_and_run(name):
     assert result.transactions == 8
 
 
+def test_unknown_design_rejected():
+    with pytest.raises(ConfigError, match="unknown design 'FWB-Fast'"):
+        make_system("FWB-Fast", tiny_config())
+
+
 @pytest.mark.parametrize("design", ["InCLL-CRADE", "CoW-Page"])
 def test_tx_table_truncation_rejected(design):
     with pytest.raises(ConfigError):

@@ -14,7 +14,7 @@ from repro.logging_hw.entries import (
     seq_follows,
     unpack_meta_words,
 )
-from repro.logging_hw.region import CONTROL_SLOTS, LogRegion
+from repro.logging_hw.region import CONTROL_SLOTS, LogRegion, LogRegionSet
 from repro.memory.controller import MemoryController
 from tests.conftest import tiny_config
 
@@ -162,6 +162,17 @@ class TestLogRegion:
         controller = MemoryController(config, StatGroup("t"))
         with pytest.raises(ValueError):
             LogRegion(controller, 0x1000_0000, 64)
+
+    def test_answers_the_region_set_shape(self):
+        """A single region lists itself the way LogRegionSet lists its
+        per-thread regions, so callers need no isinstance branch."""
+        controller, region = self._region()
+        regions = LogRegionSet(controller, 0x2000_0000, 8192, 2)
+        assert region.regions == [region]
+        assert region.region_bases() == [0x1000_0000]
+        assert region.region_bytes == 4096
+        assert regions.region_bases() == [r.base_addr for r in regions.regions]
+        assert regions.region_bytes == regions.regions[0].region_bytes == 4096
 
 
 class TestLogBuffer:
