@@ -82,6 +82,12 @@ class WordCodec:
     def encode(self, word: int, old_word: Optional[int] = None) -> EncodedWord:
         raise NotImplementedError
 
+    def compute(self, word: int) -> EncodedWord:
+        """Encode a 64-bit ``word`` with no old word, past the memo: the
+        work a memoizing :meth:`encode` does on a miss.  A codec that
+        keeps no memo of its encodings (raw, Flip-N-Write) encodes."""
+        return self.encode(word)
+
     def encode_line(
         self,
         words: Sequence[int],

@@ -115,7 +115,8 @@ class BdiCodec(WordCodec):
         self._expansion_enabled = expansion_enabled
         self._memo = LruMemo(DEFAULT_MEMO_ENTRIES)
 
-    def _compute(self, word: int) -> EncodedWord:
+    def compute(self, word: int) -> EncodedWord:
+        """Compress and encode a 64-bit ``word``: the step behind the memo."""
         tag, payload, bits = bdi_compress(word)
         return EncodedWord(
             self.name,
@@ -131,7 +132,7 @@ class BdiCodec(WordCodec):
         memo = self._memo
         encoded = memo.get(word)
         if encoded is None:
-            encoded = self._compute(word)
+            encoded = self.compute(word)
             memo.put(word, encoded)
         return encoded
 

@@ -123,11 +123,9 @@ class FpcCodec(WordCodec):
             for bits in FPC_PREFIX_PAYLOAD_BITS
         )
 
-    def encode_classified(self, word: int, prefix: int) -> EncodedWord:
-        """Encode a 64-bit ``word`` whose FPC prefix is already known.
-
-        The compute step behind :meth:`encode`'s memo.
-        """
+    def compute(self, word: int) -> EncodedWord:
+        """Classify and encode a 64-bit ``word``: the step behind the memo."""
+        prefix = fpc_match(word)
         # The prefix lives in the per-word tag cells (CompEx stores
         # compression tags in a separate tag array); the payload alone
         # maps onto the 22 data cells.
@@ -145,7 +143,7 @@ class FpcCodec(WordCodec):
         memo = self._memo
         encoded = memo.get(word)
         if encoded is None:
-            encoded = self.encode_classified(word, fpc_match(word))
+            encoded = self.compute(word)
             memo.put(word, encoded)
         return encoded
 

@@ -16,12 +16,10 @@ from repro.cache.hierarchy import CacheHierarchy, CacheListener
 from repro.common.bitops import WORD_BYTES, dirty_byte_mask
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
-from repro.encoding.slde import LogWriteContext
 from repro.logging_hw.buffers import LogBuffer
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LogRegion
 from repro.memory.controller import MemoryController
-from repro.nvm.module import LogDataWord
 from repro.nvm.timing import WriteSchedule
 
 # Fixed pipeline cost of executing the commit sequence, in cycles.
@@ -175,14 +173,9 @@ class HardwareLogger(CacheListener):
         plan = self.crash_plan
         if plan is not None:
             plan.fire("log-append", txid=entry.txid, addr=entry.addr)
-        context = None
-        if self.use_dirty_flags:
-            context = LogWriteContext(old_word=entry.undo, dirty_mask=entry.dirty_mask)
-        undo = None
-        if entry.type is EntryType.UNDO_REDO:
-            undo = LogDataWord(entry.undo, context)
-        redo = LogDataWord(entry.redo, context)
-        schedule = self.region.append(entry, now_ns, undo=undo, redo=redo)
+        schedule = self.region.append(
+            entry, now_ns, entry.dirty_mask if self.use_dirty_flags else None
+        )
         self.stats.add("entries_persisted")
         if plan is not None:
             point = (

@@ -18,11 +18,13 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.common.bitops import WORD_BYTES, mask_word
+from repro.common.bitops import WORD_BYTES
 
 
-# Data words per entry type, indexed by the type's value.
+# Data words and log-region slots (two metadata words plus the data
+# words) per entry type, indexed by the type's value.
 _N_DATA_WORDS = (2, 1, 0, 1)
+ENTRY_SLOTS = tuple(2 + n for n in _N_DATA_WORDS)
 
 
 class EntryType(enum.Enum):
@@ -38,7 +40,7 @@ class EntryType(enum.Enum):
     @property
     def n_slots(self) -> int:
         """Total 64-bit log-region slots the entry occupies."""
-        return 2 + _N_DATA_WORDS[self._value_]
+        return ENTRY_SLOTS[self._value_]
 
 
 _TYPE_BITS = 2
@@ -49,6 +51,22 @@ _ULOG_BITS = 16
 _SEQ_BITS = 20
 _ADDR_BITS = 48
 _MASK_BITS = 8
+
+# Metadata word 0's field shifts, lowest field first, and the field masks.
+_TID_SHIFT = _TYPE_BITS
+_TXID_SHIFT = _TID_SHIFT + _TID_BITS
+_TORN_SHIFT = _TXID_SHIFT + _TXID_BITS
+_ULOG_SHIFT = _TORN_SHIFT + _TORN_BITS
+_SEQ_SHIFT = _ULOG_SHIFT + _ULOG_BITS
+_TYPE_MASK = (1 << _TYPE_BITS) - 1
+_TID_MASK = (1 << _TID_BITS) - 1
+_TXID_MASK = (1 << _TXID_BITS) - 1
+_ULOG_MASK = (1 << _ULOG_BITS) - 1
+_SEQ_MASK = (1 << _SEQ_BITS) - 1
+_ADDR_MASK = (1 << _ADDR_BITS) - 1
+_DIRTY_MASK = (1 << _MASK_BITS) - 1
+_TIMESTAMP_MASK = (1 << 63) - 1
+_COMMIT = EntryType.COMMIT._value_
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,29 +117,24 @@ class CommitRecord:
         return EntryType.COMMIT
 
 
-def pack_meta_words(
-    record,
-    torn: int,
-    seq: int,
-) -> List[int]:
-    """Pack an entry or commit record into its two metadata words."""
-    entry_type = record.type
-    ulog = getattr(record, "ulog_counter", 0)
+def pack_meta_words(record, torn: int, seq: int) -> List[int]:
+    """Pack an entry or commit record into its two metadata words.
+
+    Every field is masked to its width, so both words fit in 63 bits.
+    """
+    type_value = record.type._value_
     meta0 = (
-        (entry_type.value & ((1 << _TYPE_BITS) - 1))
-        | ((record.tid & ((1 << _TID_BITS) - 1)) << _TYPE_BITS)
-        | ((record.txid & ((1 << _TXID_BITS) - 1)) << (_TYPE_BITS + _TID_BITS))
-        | ((torn & 1) << (_TYPE_BITS + _TID_BITS + _TXID_BITS))
-        | ((ulog & ((1 << _ULOG_BITS) - 1)) << (_TYPE_BITS + _TID_BITS + _TXID_BITS + _TORN_BITS))
-        | ((seq & ((1 << _SEQ_BITS) - 1)) << (_TYPE_BITS + _TID_BITS + _TXID_BITS + _TORN_BITS + _ULOG_BITS))
+        type_value
+        | (record.tid & _TID_MASK) << _TID_SHIFT
+        | (record.txid & _TXID_MASK) << _TXID_SHIFT
+        | (torn & 1) << _TORN_SHIFT
+        | (seq & _SEQ_MASK) << _SEQ_SHIFT
     )
-    if entry_type is EntryType.COMMIT:
-        meta1 = record.timestamp & ((1 << 63) - 1)
-    else:
-        meta1 = (record.addr & ((1 << _ADDR_BITS) - 1)) | (
-            (record.dirty_mask & ((1 << _MASK_BITS) - 1)) << _ADDR_BITS
-        )
-    return [mask_word(meta0), mask_word(meta1)]
+    if type_value == _COMMIT:
+        meta0 |= (record.ulog_counter & _ULOG_MASK) << _ULOG_SHIFT
+        return [meta0, record.timestamp & _TIMESTAMP_MASK]
+    meta1 = record.addr & _ADDR_MASK | (record.dirty_mask & _DIRTY_MASK) << _ADDR_BITS
+    return [meta0, meta1]
 
 
 @dataclass(frozen=True)
@@ -141,25 +154,20 @@ class ParsedMeta:
 
 def unpack_meta_words(meta0: int, meta1: int) -> ParsedMeta:
     """Inverse of :func:`pack_meta_words`."""
-    type_value = meta0 & ((1 << _TYPE_BITS) - 1)
+    type_value = meta0 & _TYPE_MASK
     try:
         entry_type = EntryType(type_value)
     except ValueError:
         raise ValueError("invalid entry type %d" % type_value)
-    shift = _TYPE_BITS
-    tid = (meta0 >> shift) & ((1 << _TID_BITS) - 1)
-    shift += _TID_BITS
-    txid = (meta0 >> shift) & ((1 << _TXID_BITS) - 1)
-    shift += _TXID_BITS
-    torn = (meta0 >> shift) & 1
-    shift += _TORN_BITS
-    ulog = (meta0 >> shift) & ((1 << _ULOG_BITS) - 1)
-    shift += _ULOG_BITS
-    seq = (meta0 >> shift) & ((1 << _SEQ_BITS) - 1)
+    tid = (meta0 >> _TID_SHIFT) & _TID_MASK
+    txid = (meta0 >> _TXID_SHIFT) & _TXID_MASK
+    torn = (meta0 >> _TORN_SHIFT) & 1
+    ulog = (meta0 >> _ULOG_SHIFT) & _ULOG_MASK
+    seq = (meta0 >> _SEQ_SHIFT) & _SEQ_MASK
     if entry_type is EntryType.COMMIT:
         return ParsedMeta(entry_type, tid, txid, torn, ulog, seq, 0, 0, meta1)
-    addr = meta1 & ((1 << _ADDR_BITS) - 1)
-    mask = (meta1 >> _ADDR_BITS) & ((1 << _MASK_BITS) - 1)
+    addr = meta1 & _ADDR_MASK
+    mask = (meta1 >> _ADDR_BITS) & _DIRTY_MASK
     return ParsedMeta(entry_type, tid, txid, torn, ulog, seq, addr, mask, 0)
 
 

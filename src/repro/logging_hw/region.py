@@ -20,14 +20,19 @@ from typing import Callable, Deque, List, Optional
 from repro.common.bitops import WORD_BYTES, WORDS_PER_LINE
 from repro.common.errors import LogOverflowError
 from repro.common.stats import StatGroup
-from repro.logging_hw.entries import EntryType, SEQ_MODULUS, pack_meta_words
+from repro.logging_hw.entries import ENTRY_SLOTS, SEQ_MODULUS, EntryType, pack_meta_words
 from repro.memory.controller import MemoryController
-from repro.nvm.module import LogDataWord, WriteKind
+from repro.nvm.module import WriteKind
 from repro.nvm.timing import WriteSchedule
 
 # The first cache line of the region is the control block.
 CONTROL_SLOTS = WORDS_PER_LINE
-MAX_ENTRY_SLOTS = EntryType.UNDO_REDO.n_slots
+MAX_ENTRY_SLOTS = max(ENTRY_SLOTS)
+# Each entry type's write kind, indexed by the type's value.
+_WRITE_KINDS = tuple(WriteKind.COMMIT if t is EntryType.COMMIT else WriteKind.LOG
+                     for t in EntryType)
+_REDO = EntryType.REDO._value_
+_COMMIT = EntryType.COMMIT._value_
 
 
 @dataclass(slots=True)
@@ -124,16 +129,20 @@ class LogRegion:
         return now_ns
 
     def append(
-        self,
-        record,
-        now_ns: float,
-        undo: Optional[LogDataWord] = None,
-        redo: Optional[LogDataWord] = None,
+        self, record, now_ns: float, dirty_mask: Optional[int] = None
     ) -> WriteSchedule:
-        """Append a log entry or commit record and write it to NVMM."""
+        """Append a log entry or commit record and write it to NVMM.
+
+        The record's type decides its data words; ``dirty_mask`` is the
+        entry's per-byte dirty flag for SLDE, None without dirty flags.
+        """
         entry_type = record.type
-        n_slots = entry_type.n_slots
-        now_ns = self._reserve(n_slots, now_ns)
+        type_value = entry_type._value_
+        n_slots = ENTRY_SLOTS[type_value]
+        free = self.n_slots - CONTROL_SLOTS - self._used_slots
+        if free < n_slots + MAX_ENTRY_SLOTS:
+            # Full: keep one max-size entry of slack (see _reserve).
+            now_ns = self._reserve(n_slots, now_ns)
 
         if self.n_slots - self.tail < n_slots:
             # Wrap: flip the pass parity, restart after the control block.
@@ -143,27 +152,28 @@ class LogRegion:
             if self.tracer is not None:
                 self.tracer.emit("log-wrap", "log", now_ns)
 
-        # HardwareLogger.persist_entry passes a redo word with every
-        # entry, so an UNDO entry writes undo and redo: four words into
-        # its three slots, the last one over the next entry's first slot
-        # (ROADMAP: the UNDO-entry spill, kept until the goldens move).
-        if entry_type in (EntryType.UNDO_REDO, EntryType.UNDO) and undo is None:
-            undo = LogDataWord(record.undo)
-        if entry_type in (EntryType.UNDO_REDO, EntryType.REDO) and redo is None:
-            redo = LogDataWord(record.redo)
+        if type_value == _COMMIT:
+            undo = redo = None
+        elif type_value == _REDO:
+            undo, redo = None, record.redo
+        else:
+            # An UNDO entry writes undo and redo too: four words into its
+            # three slots, the last one over the next entry's first slot
+            # (ROADMAP: the UNDO-entry spill, kept until the goldens move).
+            undo, redo = record.undo, record.redo
 
         offset = self.tail
         seq = self.seq
         addr = self.base_addr + offset * WORD_BYTES
-        kind = WriteKind.COMMIT if entry_type is EntryType.COMMIT else WriteKind.LOG
         # Looked up per call, so a shim set on the module instance sees it.
         schedule = self.controller.nvm.write_log_entry(
             addr,
             pack_meta_words(record, self.parity, seq),
             now_ns,
-            undo=undo,
-            redo=redo,
-            kind=kind,
+            undo,
+            redo,
+            dirty_mask,
+            _WRITE_KINDS[type_value],
         )
         self.tail = offset + n_slots
         self.seq = (seq + 1) % SEQ_MODULUS
@@ -294,8 +304,8 @@ class LogRegionSet:
     def region_for(self, tid: int) -> LogRegion:
         return self.regions[tid % len(self.regions)]
 
-    def append(self, record, now_ns: float, undo=None, redo=None):
-        return self.region_for(record.tid).append(record, now_ns, undo=undo, redo=redo)
+    def append(self, record, now_ns: float, dirty_mask=None):
+        return self.region_for(record.tid).append(record, now_ns, dirty_mask)
 
     def truncate(self, can_free, now_ns: float) -> int:
         return sum(r.truncate(can_free, now_ns) for r in self.regions)

@@ -16,7 +16,6 @@ Write requests and their sizes:
 """
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.bitops import WORD_BYTES, WORD_MASK, WORDS_PER_LINE, mask_word
@@ -48,19 +47,6 @@ _KIND_COUNTERS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class LogDataWord:
-    """One word of log data handed to the module for encoding.
-
-    ``context`` carries the dirty flag and old value the SLDE/DLDC path
-    needs; None means the producer has no dirty information (e.g. the FWB
-    baseline without SLDE) and the word takes the alternative codec path.
-    """
-
-    logical: int
-    context: Optional[LogWriteContext] = None
-
-
 class NvmModule:
     """The NVMM module: codec + array + timing."""
 
@@ -74,8 +60,6 @@ class NvmModule:
         self.stats = stats if stats is not None else StatGroup("nvm_module")
         self.array = NvmArray(nvm_config, self.stats)
         self.timing = BankTiming(nvm_config, self.stats, line_bytes)
-        self._nvm_config = nvm_config
-        self._encoding_config = encoding_config
         self.data_codec: WordCodec = make_codec(
             encoding_config.data_codec, encoding_config.expansion_enabled
         )
@@ -204,10 +188,13 @@ class NvmModule:
             self._line_epoch[addr] = epoch
         news = [mask_word(word) for word in words]
         if self._secure == "none":
-            olds = [
-                self.array.read_logical(addr + i * WORD_BYTES)
-                for i in range(len(news))
-            ]
+            olds = None
+            if not self.data_codec.context_free:
+                # Only an old-word codec (Flip-N-Write) reads the line.
+                olds = [
+                    self.array.read_logical(addr + i * WORD_BYTES)
+                    for i in range(len(news))
+                ]
             encoded = self.data_codec.encode_line(news, olds)
         elif self._secure == "deuce":
             # DEUCE: only changed words are re-encrypted; the cipher
@@ -232,82 +219,71 @@ class NvmModule:
     def encode_log_words(
         self,
         meta_words: Sequence[int],
-        undo: Optional[LogDataWord] = None,
-        redo: Optional[LogDataWord] = None,
+        undo: Optional[int] = None,
+        redo: Optional[int] = None,
+        dirty_mask: Optional[int] = None,
     ) -> Tuple[List[EncodedWord], List[int]]:
         """Encode a log entry's words (metadata first, then undo, then redo).
 
-        Metadata words always take the alternative/general codec (Figure 4
-        compresses log metadata with FPC).  Undo+redo pairs respect the
-        never-both-DLDC rule via :meth:`SldeCodec.encode_undo_redo_pair`.
+        Metadata words take the general codec's compute step past its memo
+        (Figure 4 compresses log metadata with FPC; word 0 carries the
+        sequence number and would never hit).  ``dirty_mask`` is the
+        entry's per-byte dirty flag, None when the producer has no dirty
+        information.  Under SLDE an undo+redo pair respects the
+        never-both-DLDC rule via :meth:`SldeCodec.encode_undo_redo_pair`
+        (each side's old word is the other, the mask 0xFF when None), and
+        a lone word with a mask takes :meth:`SldeCodec.encode_log`.  Every
+        other data word takes the log codec's plain ``encode``.
         """
         logicals: List[int] = [meta & WORD_MASK for meta in meta_words]
-        # Metadata words batch through the general codec in one call.
-        encoded: List[EncodedWord] = list(self.data_codec.encode_line(logicals))
+        encoded: List[EncodedWord] = list(map(self.data_codec.compute, logicals))
         if undo is None and redo is None:
             return encoded, logicals
 
         # The array keeps plaintext as the logical ground truth; secure
         # modes only change what the cells (and costs) see.
-        plain = (undo, redo)
-        if self._secure != "none":
-            undo, redo = self._encrypt_log_words(undo, redo)
+        if undo is not None:
+            logicals.append(undo & WORD_MASK)
+        if redo is not None:
+            logicals.append(redo & WORD_MASK)
+        secure = self._secure
+        if secure != "none" and not (secure == "deuce" and dirty_mask == 0):
+            # DEUCE keeps a completely clean entry clean (silent log
+            # writes still vanish), but dirty data re-encrypt wholesale:
+            # all bytes dirty, ciphertext incompressible.  Naive ("full")
+            # encryption dirties everything unconditionally.
+            if undo is not None:
+                undo = self._cipher(0, undo, 1)
+            if redo is not None:
+                redo = self._cipher(0, redo, 1)
+            if dirty_mask is not None:
+                dirty_mask = 0xFF
 
         slde = self._slde
-        if undo is not None and redo is not None and slde is not None:
-            mask = 0xFF
-            if redo.context is not None:
-                mask = redo.context.dirty_mask
-            encoded.extend(
-                slde.encode_undo_redo_pair(undo.logical, redo.logical, mask)
-            )
-            logicals.append(plain[0].logical & WORD_MASK)
-            logicals.append(plain[1].logical & WORD_MASK)
-            return encoded, logicals
-
-        for item, plain_item in zip((undo, redo), plain):
-            if item is None:
-                continue
-            if slde is not None and item.context is not None:
-                encoded.append(slde.encode_log(item.logical, item.context))
-            else:
-                encoded.append(self.log_codec.encode(item.logical))
-            logicals.append(plain_item.logical & WORD_MASK)
+        if slde is not None and undo is not None and redo is not None:
+            encoded.extend(slde.encode_undo_redo_pair(
+                undo, redo, 0xFF if dirty_mask is None else dirty_mask
+            ))
+        elif slde is not None and dirty_mask is not None:
+            # A lone word (a redo entry's): no undo word to pair with.
+            context = LogWriteContext(old_word=None, dirty_mask=dirty_mask)
+            encoded.append(slde.encode_log(redo if undo is None else undo, context))
+        else:
+            encode = self.log_codec.encode
+            if undo is not None:
+                encoded.append(encode(undo))
+            if redo is not None:
+                encoded.append(encode(redo))
         return encoded, logicals
-
-    def _encrypt_log_words(self, undo, redo):
-        """Apply the secure-mode transform to a log entry's data words.
-
-        DEUCE keeps completely-clean words clean (silent log writes still
-        vanish) but a dirty word re-encrypts wholesale: all bytes dirty,
-        ciphertext incompressible.  Naive ("full") encryption dirties
-        everything unconditionally.
-        """
-        out = []
-        for item in (undo, redo):
-            if item is None:
-                out.append(None)
-                continue
-            ctx = item.context
-            if self._secure == "deuce" and ctx is not None and ctx.dirty_mask == 0:
-                out.append(item)  # clean word stays clean under DEUCE
-                continue
-            cipher = self._cipher(0, item.logical, 1)
-            new_ctx = None
-            if ctx is not None:
-                new_ctx = LogWriteContext(
-                    old_word=None, dirty_mask=0xFF, allow_dldc=ctx.allow_dldc
-                )
-            out.append(LogDataWord(cipher, new_ctx))
-        return out[0], out[1]
 
     def write_log_entry(
         self,
         addr: int,
         meta_words: Sequence[int],
         now_ns: float,
-        undo: Optional[LogDataWord] = None,
-        redo: Optional[LogDataWord] = None,
+        undo: Optional[int] = None,
+        redo: Optional[int] = None,
+        dirty_mask: Optional[int] = None,
         kind: WriteKind = WriteKind.LOG,
     ) -> WriteSchedule:
         """Write one log entry (or commit record) from ``addr`` on.
@@ -317,7 +293,7 @@ class NvmModule:
         """
         if self.tracer is not None:
             self._trace_now = now_ns
-        encoded, logicals = self.encode_log_words(meta_words, undo, redo)
+        encoded, logicals = self.encode_log_words(meta_words, undo, redo, dirty_mask)
         return self._post(
             addr, self.array.write_words(addr, encoded, logicals), now_ns, kind
         )

@@ -85,6 +85,9 @@ class BankTiming:
     def __init__(self, config: NVMConfig, stats: StatGroup, line_bytes: int = 64) -> None:
         self._config = config
         self._line_bytes = line_bytes
+        self._channels = config.channels
+        self._banks = config.banks * config.ranks
+        self._overhead_ns = config.access_overhead_ns
         self._busy_until: Dict[Tuple[int, int], float] = {}
         self._queues: List[WriteQueue] = [
             WriteQueue(config.write_queue_entries, config.drain_watermark)
@@ -95,18 +98,7 @@ class BankTiming:
     def location(self, addr: int) -> Tuple[int, int]:
         """Map an address to (channel, bank) by line interleaving."""
         line = addr // self._line_bytes
-        channel = line % self._config.channels
-        bank = (line // self._config.channels) % (
-            self._config.banks * self._config.ranks
-        )
-        return channel, bank
-
-    def _acquire(self, channel: int, bank: int, start_ns: float, duration_ns: float) -> Tuple[float, float]:
-        key = (channel, bank)
-        begin = max(start_ns, self._busy_until.get(key, 0.0))
-        end = begin + duration_ns
-        self._busy_until[key] = end
-        return begin, end
+        return line % self._channels, (line // self._channels) % self._banks
 
     def read(self, addr: int, now_ns: float) -> float:
         """Schedule a read; returns its completion time."""
@@ -119,27 +111,38 @@ class BankTiming:
             if drain > start:
                 self.stats.add("read_drain_stall_ns", drain - start)
                 start = drain
-        duration = self._config.read_latency_ns + self._config.access_overhead_ns
-        _begin, end = self._acquire(channel, bank, start, duration)
+        duration = self._config.read_latency_ns + self._overhead_ns
+        end = max(start, self._busy_until.get((channel, bank), 0.0)) + duration
+        self._busy_until[(channel, bank)] = end
         self.stats.add("reads")
         return end
 
     def write(self, addr: int, now_ns: float, latency_ns: float) -> WriteSchedule:
-        """Post a write; the producer resumes at ``accept_ns``."""
-        channel, bank = self.location(addr)
+        """Post a write; the producer resumes at ``accept_ns``.
+
+        :meth:`location` and :meth:`WriteQueue.accept_time` inlined, with
+        the same arithmetic; a bank serves requests back to back.
+        """
+        line = addr // self._line_bytes
+        channels = self._channels
+        channel = line % channels
+        key = (channel, (line // channels) % self._banks)
         queue = self._queues[channel]
-        accept = queue.accept_time(now_ns)
+        ends = queue._service_ends
+        while ends and ends[0] <= now_ns:
+            ends.popleft()
+        overflow = len(ends) - queue.capacity
+        # A full queue: wait for the oldest in-flight write to finish.
+        accept = now_ns if overflow < 0 else ends[overflow]
         stall = accept - now_ns
         if stall > 0:
             self.stats.add("write_queue_stall_ns", stall)
-        duration = latency_ns + self._config.access_overhead_ns
-        _begin, end = self._acquire(channel, bank, accept, duration)
+        busy = self._busy_until
+        end = max(accept, busy.get(key, 0.0)) + (latency_ns + self._overhead_ns)
+        busy[key] = end
         queue.push(end)
         self.stats.add("writes")
-        return WriteSchedule(accept_ns=accept, finish_ns=end, stall_ns=stall)
-
-    def queue_occupancy(self, channel: int, now_ns: float) -> int:
-        return self._queues[channel].occupancy(now_ns)
+        return WriteSchedule(accept, end, stall)
 
     def reset(self) -> None:
         self._busy_until.clear()

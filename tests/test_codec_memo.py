@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.bitops import dirty_byte_mask
+from repro.common.config import EncodingConfig, NVMConfig
 from repro.encoding import (
     FlipNWriteCodec,
     LogWriteContext,
@@ -22,12 +23,16 @@ from repro.encoding import (
     SldeCodec,
     make_codec,
 )
+from repro.logging_hw.entries import EntryType, LogEntry, pack_meta_words
+from repro.nvm.module import NvmModule
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 #: Few distinct values, so drawn lists repeat words as workloads do.
 clustered = st.one_of(words, st.sampled_from((0, 1, 0x7F, 0x11, 0x19, 2**63)))
 lines = st.lists(clustered, min_size=8, max_size=8)
 
+#: Every data codec, by its configuration name.
+DATA_CODECS = ("crade", "fpc", "bdi", "raw", "flip-n-write")
 #: Every codec that keeps a memo, by its configuration name.
 MEMO_CODECS = ("crade", "bdi", "slde", "slde-bdi")
 #: The codecs with a log path, by name: SLDE over CRADE and over BDI,
@@ -225,3 +230,42 @@ class TestHookReplay:
         codec.encode_undo_redo_pair(undo, redo, 0x01)  # both sides hit
         assert len(calls) == 4
         assert calls[:2] == calls[2:]
+
+
+class TestComputeStep:
+    """The step behind each data codec's memo: the NVM module sends log
+    metadata (and InCLL's and CoW-Page's unframed words) through it,
+    past the memo."""
+
+    @pytest.mark.parametrize("name", DATA_CODECS)
+    @settings(max_examples=60, deadline=None)
+    @given(word=words)
+    def test_compute_equals_encode_and_skips_the_memo(self, name, word):
+        codec = make_codec(name)
+        before = codec.memo_stats()
+        computed_word = codec.compute(word)
+        assert codec.memo_stats() == before
+        assert computed_word == codec.encode(word)
+
+    def test_framed_entry_makes_no_data_memo_lookup(self):
+        module = NvmModule(NVMConfig(), EncodingConfig())
+        entry = LogEntry(EntryType.UNDO_REDO, 1, 7, 0x40, 0x19, 0x11, 0x01)
+        module.write_log_entry(
+            0x1000, pack_meta_words(entry, 1, 5), 0.0,
+            undo=entry.undo, redo=entry.redo, dirty_mask=entry.dirty_mask,
+        )
+        data = module.memo_stats()["data.encode"]
+        assert (data["hits"], data["misses"]) == (0, 0)
+        # The data words went through SLDE's own memo.
+        assert module.memo_stats()["log.log"]["misses"] == 2
+
+    def test_data_line_after_an_entry_adds_eight_lookups(self):
+        module = NvmModule(NVMConfig(), EncodingConfig())
+        entry = LogEntry(EntryType.REDO, 1, 7, 0x40, 0x19, None, 0x01)
+        module.write_log_entry(
+            0x1000, pack_meta_words(entry, 1, 5), 0.0,
+            redo=entry.redo, dirty_mask=entry.dirty_mask,
+        )
+        module.write_data_line(0x2000, [0, 1, 1, 0x19, 7, 7, 7, 2**40], 5.0)
+        data = module.memo_stats()["data.encode"]
+        assert data["hits"] + data["misses"] == 8

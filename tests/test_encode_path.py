@@ -40,7 +40,7 @@ from repro.logging_hw.buffers import BufferedEntry
 from repro.logging_hw.entries import CommitRecord, EntryType, LogEntry
 from repro.logging_hw.region import LiveEntry
 from repro.nvm.array import NvmArray, WriteCost
-from repro.nvm.module import LogDataWord, NvmModule
+from repro.nvm.module import NvmModule
 from repro.nvm.timing import WriteSchedule
 
 
@@ -181,7 +181,6 @@ FROZEN_SLOTTED = [
     ENCODED,
     ENTRY,
     CommitRecord(1, 7, 2, 99),
-    LogDataWord(0xAB, LogWriteContext(0xCD, 0x01)),
     LogWriteContext(0xCD, 0x01, False),
     COST,
     SCHEDULE,

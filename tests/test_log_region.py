@@ -129,6 +129,24 @@ class TestLogRegion:
             region.append(ur_entry(addr=0x100 + 8 * i, txid=i), 0.0)
         assert region.stats.get("entries_truncated") > 0
 
+    @pytest.mark.parametrize("make, fits", [
+        (lambda i: ur_entry(txid=i), 13),
+        (lambda i: redo_entry(txid=i), 17),
+        (lambda i: CommitRecord(tid=0, txid=i), 26),
+    ], ids=("UNDO_REDO", "REDO", "COMMIT"))
+    def test_full_region_keeps_one_max_size_entry_free(self, make, fits):
+        # 56 entry slots.  An entry goes in while its slots plus one
+        # 4-slot entry stay free, so head == tail stays unambiguous.
+        _c, region = self._region(size=64 * 8)
+        calls = []
+        region.on_overflow = lambda now: calls.append(now) or now
+        for i in range(fits):
+            region.append(make(i), 0.0)
+        assert calls == []
+        with pytest.raises(LogOverflowError):
+            region.append(make(fits), 7.0)
+        assert calls == [7.0]
+
     def test_wrap_flips_parity(self):
         _c, region = self._region(size=(CONTROL_SLOTS + 10) * 8)
         region.on_overflow = lambda now: region.truncate(lambda e: True, now)

@@ -1,12 +1,15 @@
 """One log write, from the entry to programmed cells, against its old composition.
 
-``NvmModule.write_log_entry`` encodes a log entry, programs its words and
-posts the write in one call, and returns only the ``WriteSchedule``.  The
-reference below is the composition it replaces, kept only here:
-``encode_log_words`` as it was, then a flat-map array that programs every
-word through :func:`~repro.nvm.cell.dcw_cost` (three dicts keyed by word
-address, no pages, no pristine step), then the bank timing's
-write as it was (``location``, ``accept_time``, ``_acquire``, ``push``).
+``NvmModule.write_log_entry`` takes an entry's words as plain ints plus
+one dirty mask, encodes them, programs them and posts the write in one
+call, and returns only the ``WriteSchedule``.  The reference below is the
+composition it replaces, kept only here: ``encode_log_words`` as it was,
+on log data words that each carry an optional ``LogWriteContext`` (built
+from the same draws), with the metadata through the data codec's memo;
+then a flat-map array that programs every word through
+:func:`~repro.nvm.cell.dcw_cost` (three dicts keyed by word address, no
+pages, no pristine step); then the bank timing's write as it was
+(``location``, ``accept_time``, the bank's busy-until step, ``push``).
 Every comparison is ``==``, floats included.
 
 The last test pins what one log entry programs per entry type.  An
@@ -14,8 +17,8 @@ The last test pins what one log entry programs per entry type.  An
 spill, recorded in ROADMAP.md and kept until the goldens are regenerated.
 """
 
-from dataclasses import replace
-from typing import Dict
+from dataclasses import dataclass, replace
+from typing import Dict, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +36,8 @@ from repro.logging_hw.entries import (
 )
 from repro.nvm.array import _TAG_MASK, _TAG_SHIFT, StoredWord, WriteCost, _tag_value
 from repro.nvm.cell import cost_tables, dcw_cost
-from repro.nvm.module import LogDataWord, NvmModule, WriteKind
-from repro.nvm.timing import WriteSchedule
+from repro.nvm.module import NvmModule, WriteKind
+from repro.nvm.timing import BankTiming, WriteSchedule
 from tests.conftest import make_tiny_system
 
 # Sixteen word slots, so entries keep landing on programmed slots (a
@@ -111,7 +114,7 @@ class FlatArray:
 
 
 def timing_write(timing, addr, now_ns, latency_ns) -> WriteSchedule:
-    """BankTiming.write as it was."""
+    """BankTiming.write as it was, its ``_acquire`` step inlined."""
     channel, bank = timing.location(addr)
     queue = timing._queues[channel]
     accept = queue.accept_time(now_ns)
@@ -119,10 +122,40 @@ def timing_write(timing, addr, now_ns, latency_ns) -> WriteSchedule:
     if stall > 0:
         timing.stats.add("write_queue_stall_ns", stall)
     duration = latency_ns + timing._config.access_overhead_ns
-    _begin, end = timing._acquire(channel, bank, accept, duration)
+    begin = max(accept, timing._busy_until.get((channel, bank), 0.0))
+    end = begin + duration
+    timing._busy_until[(channel, bank)] = end
     queue.push(end)
     timing.stats.add("writes")
     return WriteSchedule(accept_ns=accept, finish_ns=end, stall_ns=stall)
+
+
+@dataclass(frozen=True)
+class DataWord:
+    """One word of log data as the module took it: a value and the
+    SLDE context, None without dirty information."""
+
+    logical: int
+    context: Optional[LogWriteContext] = None
+
+
+def encrypt_log_words(module: NvmModule, undo, redo):
+    """The secure-mode transform as it was, per data word."""
+    out = []
+    for item in (undo, redo):
+        if item is None:
+            out.append(None)
+            continue
+        ctx = item.context
+        if module._secure == "deuce" and ctx is not None and ctx.dirty_mask == 0:
+            out.append(item)  # clean word stays clean under DEUCE
+            continue
+        new_ctx = None
+        if ctx is not None:
+            new_ctx = LogWriteContext(
+                old_word=None, dirty_mask=0xFF, allow_dldc=ctx.allow_dldc)
+        out.append(DataWord(module._cipher(0, item.logical, 1), new_ctx))
+    return out[0], out[1]
 
 
 def encode_log_words(module: NvmModule, meta_words, undo, redo):
@@ -131,7 +164,7 @@ def encode_log_words(module: NvmModule, meta_words, undo, redo):
     encoded = list(module.data_codec.encode_line(logicals))
     plain = [item.logical if item is not None else None for item in (undo, redo)]
     if module._secure != "none":
-        undo, redo = module._encrypt_log_words(undo, redo)
+        undo, redo = encrypt_log_words(module, undo, redo)
     slde = module.log_codec if isinstance(module.log_codec, SldeCodec) else None
     if undo is not None and redo is not None and slde is not None:
         mask = 0xFF if redo.context is None else redo.context.dirty_mask
@@ -149,6 +182,18 @@ def encode_log_words(module: NvmModule, meta_words, undo, redo):
     return encoded, logicals
 
 
+def data_words(undo, redo, dirty_mask):
+    """The reference's data words for one entry: the mask and the undo
+    value as every word's context, as the logger built them."""
+    context = None
+    if dirty_mask is not None:
+        context = LogWriteContext(old_word=undo, dirty_mask=dirty_mask)
+    return (
+        None if undo is None else DataWord(undo, context),
+        None if redo is None else DataWord(redo, context),
+    )
+
+
 class Composition:
     """encode_log_words, then the flat array, then the old bank write."""
 
@@ -157,8 +202,9 @@ class Composition:
         self.stats = self.module.stats
         self.array = FlatArray(nvm_config, self.stats)
 
-    def write_log_entry(self, addr, meta_words, now_ns, undo, redo, kind):
-        encoded, logicals = encode_log_words(self.module, meta_words, undo, redo)
+    def write_log_entry(self, addr, meta_words, now_ns, undo, redo, dirty_mask, kind):
+        encoded, logicals = encode_log_words(
+            self.module, meta_words, *data_words(undo, redo, dirty_mask))
         cost = self.array.write_words(addr, encoded, logicals)
         if cost.silent:
             self.stats.add("silent_requests")
@@ -182,7 +228,7 @@ masks = st.sampled_from((0, 0x01, 0x0F, 0xFF))
 
 @st.composite
 def requests(draw):
-    """One ``write_log_entry`` call: (addr, meta words, undo, redo, kind)."""
+    """One ``write_log_entry`` call: (addr, meta, undo, redo, mask, kind)."""
     addr = WORD_BYTES * draw(st.integers(0, SLOTS - 1))
     entry_type = draw(st.sampled_from(list(EntryType)))
     tid, txid = draw(st.integers(0, 3)), draw(st.integers(0, 40))
@@ -190,23 +236,19 @@ def requests(draw):
     if entry_type is EntryType.COMMIT:
         record = CommitRecord(tid, txid, draw(st.integers(0, 3)),
                               draw(st.integers(0, 99)))
-        return addr, pack_meta_words(record, torn, seq), None, None, WriteKind.COMMIT
+        return (addr, pack_meta_words(record, torn, seq), None, None, None,
+                WriteKind.COMMIT)
     if draw(st.booleans()):
         # An unframed write, as InCLL and the CoW page table make.
-        return addr, draw(st.lists(words, min_size=1, max_size=2)), None, None, (
-            WriteKind.LOG)
+        return (addr, draw(st.lists(words, min_size=1, max_size=2)), None, None,
+                None, WriteKind.LOG)
     undo_value = draw(words) if entry_type is not EntryType.REDO else None
     record = LogEntry(entry_type, tid, txid, 8 * draw(st.integers(0, 64)),
                       draw(words), undo_value, draw(masks))
-    context = None
-    if draw(st.booleans()):
-        context = LogWriteContext(old_word=undo_value, dirty_mask=record.dirty_mask,
-                                  allow_dldc=draw(st.booleans()))
-    undo = None
-    if entry_type is not EntryType.REDO:
-        undo = LogDataWord(record.undo, context)
-    redo = LogDataWord(record.redo, context)
-    return addr, pack_meta_words(record, torn, seq), undo, redo, WriteKind.LOG
+    # With or without dirty flags, as HardwareLogger.persist_entry decides.
+    dirty_mask = record.dirty_mask if draw(st.booleans()) else None
+    return (addr, pack_meta_words(record, torn, seq), record.undo, record.redo,
+            dirty_mask, WriteKind.LOG)
 
 
 class TestAgainstComposition:
@@ -222,15 +264,32 @@ class TestAgainstComposition:
         module = NvmModule(nvm_config, encoding, StatGroup("fused"))
         reference = Composition(nvm_config, encoding)
         now = 0.0
-        for (addr, meta, undo, redo, kind), step in stream:
+        for (addr, meta, undo, redo, mask, kind), step in stream:
             now += step
             assert module.write_log_entry(
-                addr, meta, now, undo=undo, redo=redo, kind=kind
-            ) == reference.write_log_entry(addr, meta, now, undo, redo, kind)
+                addr, meta, now, undo=undo, redo=redo, dirty_mask=mask, kind=kind
+            ) == reference.write_log_entry(addr, meta, now, undo, redo, mask, kind)
         assert module.stats.as_dict() == reference.stats.as_dict()
         for waddr in range(0, (SLOTS + 4) * WORD_BYTES, WORD_BYTES):
             assert module.array.read_word(waddr) == reference.array.read_word(waddr)
         assert module.array.wear == reference.array.wear
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.lists(
+        st.tuples(st.integers(0, 63), st.sampled_from((0.0, 5.0, 120.0)),
+                  st.sampled_from((50.0, 400.0, 1200.0))),
+        min_size=1, max_size=40))
+    def test_bank_write_matches_composition_with_a_full_queue(self, stream):
+        # Two-entry write queues fill, so producers stall.
+        config = NVMConfig(write_queue_entries=2)
+        fused = BankTiming(config, StatGroup("fused"))
+        reference = BankTiming(config, StatGroup("reference"))
+        now = 0.0
+        for line, step, latency in stream:
+            now += step
+            assert fused.write(64 * line, now, latency) == timing_write(
+                reference, 64 * line, now, latency)
+        assert fused.stats.as_dict() == reference.stats.as_dict()
 
     def test_returns_the_schedule_alone(self):
         module = NvmModule(NVMConfig(), EncodingConfig(), StatGroup("t"))

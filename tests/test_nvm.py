@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.common.bitops import WORD_MASK
 from repro.common.config import (
     EncodingConfig,
     NVMConfig,
@@ -11,10 +12,10 @@ from repro.common.config import (
 )
 from repro.common.stats import StatGroup
 from repro.encoding.base import RawCodec
-from repro.encoding.slde import LogWriteContext
+from repro.encoding.flipnwrite import FlipNWriteCodec
 from repro.nvm.array import NvmArray
 from repro.nvm.cell import program_cost
-from repro.nvm.module import LogDataWord, NvmModule, WriteKind
+from repro.nvm.module import NvmModule, WriteKind
 from repro.nvm.timing import BankTiming, WriteQueue
 
 levels = st.lists(
@@ -203,10 +204,9 @@ class TestNvmModule:
         old, new = 0x10, 0x13
         from repro.common.bitops import dirty_byte_mask
 
-        ctx = LogWriteContext(old_word=old, dirty_mask=dirty_byte_mask(old, new))
         module.write_log_entry(
             0x100, [0xAA, 0xBB], 0.0,
-            undo=LogDataWord(old, ctx), redo=LogDataWord(new, ctx),
+            undo=old, redo=new, dirty_mask=dirty_byte_mask(old, new),
         )
         assert module.array.written_addresses(0x100, 0x200) == [
             0x100, 0x108, 0x110, 0x118]
@@ -220,6 +220,29 @@ class TestNvmModule:
         module.array.write_logical(0x40, 10)
         with pytest.raises(ValueError):
             module.decode_word(0x40)
+
+    def test_context_free_line_write_reads_no_old_word(self, monkeypatch):
+        module = self._module()
+        module.write_data_line(0x40, [1] * 8, 0.0)
+        reads = []
+        read_logical = module.array.read_logical
+        monkeypatch.setattr(
+            module.array, "read_logical",
+            lambda addr: reads.append(addr) or read_logical(addr),
+        )
+        module.write_data_line(0x40, [2] * 8, 5.0)
+        assert reads == []
+
+    def test_flip_n_write_line_encodes_against_the_old_words(self):
+        module = self._module(data_codec="flip-n-write")
+        old_words = [0, WORD_MASK, 0x0F0F, 1, WORD_MASK - 1, 0x8000, 7, 0]
+        new_words = [WORD_MASK, 0, 0xF0F0, 1, 3, WORD_MASK, 7, 0xFFFF]
+        module.write_data_line(0x80, old_words, 0.0)
+        module.write_data_line(0x80, new_words, 5.0)
+        reference = FlipNWriteCodec()
+        for i, (new, old) in enumerate(zip(new_words, old_words)):
+            stored = module.array.read_word(0x80 + 8 * i).encoded
+            assert stored == reference.encode(new, old)
 
     def test_commit_kind_counted_separately(self):
         module = self._module()

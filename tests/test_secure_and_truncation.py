@@ -81,15 +81,14 @@ class TestSecureModes:
         """Ciphertext leaves DLDC nothing to discard or compress, so the
         SLDE comparator falls back to the alternative codec."""
         from repro.common.config import EncodingConfig, NVMConfig
-        from repro.encoding.slde import LogWriteContext
-        from repro.nvm.module import LogDataWord, NvmModule
+        from repro.nvm.module import NvmModule
 
         def winning_method(mode):
             module = NvmModule(NVMConfig(), EncodingConfig(secure_mode=mode))
-            old, new = 0x1111_1111_1111_1111, 0x1111_1111_1111_1119
-            ctx = LogWriteContext(old_word=old, dirty_mask=0b1)
+            # One dirty byte against the old word 0x1111_1111_1111_1111.
+            new = 0x1111_1111_1111_1119
             encoded, _logicals = module.encode_log_words(
-                [0], redo=LogDataWord(new, ctx)
+                [0], redo=new, dirty_mask=0b1
             )
             return encoded[-1].method
 

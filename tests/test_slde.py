@@ -240,14 +240,13 @@ class TestEncodingTypeFlagCharging:
     def test_nvm_traffic_charges_total_bits_exactly_once(self):
         from repro.common.config import EncodingConfig, NVMConfig
         from repro.common.stats import StatGroup
-        from repro.nvm.module import LogDataWord, NvmModule
+        from repro.nvm.module import NvmModule
 
         module = NvmModule(NVMConfig(), EncodingConfig(), StatGroup("t"))
         old, new = 0x1111_1111_1111_1111, 0x1111_1111_1111_1119
-        ctx = LogWriteContext(old_word=old, dirty_mask=dirty_byte_mask(old, new))
         module.write_log_entry(
             0x100, [0xAA, 0xBB], 0.0,
-            undo=LogDataWord(old, ctx), redo=LogDataWord(new, ctx),
+            undo=old, redo=new, dirty_mask=dirty_byte_mask(old, new),
         )
         # The encodings the entry stored, one per word.
         stored = [module.array.read_word(0x100 + 8 * i).encoded for i in range(4)]

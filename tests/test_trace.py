@@ -242,8 +242,7 @@ class TestSldeDecisionTruth:
     def test_conflict_path_reports_replaced_side(self):
         from repro.common.config import EncodingConfig, NVMConfig
         from repro.common.stats import StatGroup
-        from repro.encoding.slde import LogWriteContext
-        from repro.nvm.module import LogDataWord, NvmModule
+        from repro.nvm.module import NvmModule
 
         module = NvmModule(NVMConfig(), EncodingConfig(), StatGroup("t"))
         bus = TraceBus(TraceConfig(enabled=True))
@@ -251,10 +250,8 @@ class TestSldeDecisionTruth:
         # Both words are FPC-incompressible and differ in one byte, so
         # both sides prefer DLDC and the conflict path must demote one.
         undo, redo = 0x0123_4567_89AB_CDEF, 0x0123_4567_89AB_CDEE
-        ctx = LogWriteContext(old_word=undo, dirty_mask=0x01)
         module.write_log_entry(
-            0x100, [0x1], 0.0,
-            undo=LogDataWord(undo, ctx), redo=LogDataWord(redo, ctx),
+            0x100, [0x1], 0.0, undo=undo, redo=redo, dirty_mask=0x01
         )
         # The encodings stored for the undo and redo words.
         undo_enc, redo_enc = (module.array.read_word(a).encoded for a in (0x108, 0x110))
