@@ -19,20 +19,19 @@ class SetAssocCache:
         self.name = name
         self.config = config
         self.stats = stats if stats is not None else StatGroup(name)
+        # Bound once: every access computes a line base and a set index
+        # (``CacheLevelConfig.n_sets`` divides on each read).
+        self.line_bytes = config.line_bytes
+        self.n_sets = config.n_sets
         self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(config.n_sets)
+            OrderedDict() for _ in range(self.n_sets)
         ]
-
-    def _set_index(self, base_addr: int) -> int:
-        return (base_addr // self.config.line_bytes) % self.config.n_sets
-
-    def line_base(self, addr: int) -> int:
-        return addr - (addr % self.config.line_bytes)
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Find the line containing ``addr``; refresh LRU on hit."""
-        base = self.line_base(addr)
-        bucket = self._sets[self._set_index(base)]
+        line_bytes = self.line_bytes
+        base = addr - addr % line_bytes
+        bucket = self._sets[base // line_bytes % self.n_sets]
         line = bucket.get(base)
         if line is not None and touch:
             bucket.move_to_end(base)
@@ -41,9 +40,9 @@ class SetAssocCache:
     def insert(self, line: CacheLine) -> Optional[CacheLine]:
         """Insert a line; returns the evicted victim, if any."""
         base = line.base_addr
-        if base % self.config.line_bytes:
+        if base % self.line_bytes:
             raise ValueError("line base address must be line-aligned")
-        bucket = self._sets[self._set_index(base)]
+        bucket = self._sets[base // self.line_bytes % self.n_sets]
         victim = None
         if base not in bucket and len(bucket) >= self.config.assoc:
             _victim_base, victim = bucket.popitem(last=False)
@@ -54,8 +53,9 @@ class SetAssocCache:
 
     def remove(self, addr: int) -> Optional[CacheLine]:
         """Remove (invalidate) the line containing ``addr``."""
-        base = self.line_base(addr)
-        return self._sets[self._set_index(base)].pop(base, None)
+        line_bytes = self.line_bytes
+        base = addr - addr % line_bytes
+        return self._sets[base // line_bytes % self.n_sets].pop(base, None)
 
     def iter_lines(self) -> Iterator[CacheLine]:
         for bucket in self._sets:

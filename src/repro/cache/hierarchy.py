@@ -79,6 +79,9 @@ class CacheHierarchy:
         # line base address -> core whose private caches hold it
         self._owner: Dict[int, int] = {}
         self._ns_per_cycle = config.cores.ns_per_cycle
+        # L1 hit latencies (stores retire through the store buffer).
+        self._load_hit_ns = config.caches.l1.latency_cycles * self._ns_per_cycle
+        self._store_hit_ns = config.cores.store_hit_cycles * self._ns_per_cycle
 
     # ------------------------------------------------------------------
     # Eviction plumbing
@@ -150,19 +153,18 @@ class CacheHierarchy:
         The caller mutates the line for stores; the per-word log state is
         the loggers' business.
         """
-        cfg = self.config.caches
-        base = self.l1s[core].line_base(addr)
-        line = self.l1s[core].lookup(base)
+        # The L1 probe is SetAssocCache.lookup inlined: most accesses hit.
+        l1 = self.l1s[core]
+        line_bytes = l1.line_bytes
+        base = addr - addr % line_bytes
+        bucket = l1._sets[base // line_bytes % l1.n_sets]
+        line = bucket.get(base)
         if line is not None:
+            bucket.move_to_end(base)
             self.stats.add("l1_hits")
-            # Stores retire through the store buffer on an L1 hit.
-            cycles = (
-                self.config.cores.store_hit_cycles
-                if is_store
-                else cfg.l1.latency_cycles
-            )
-            return line, now_ns + cycles * self._ns_per_cycle
-        lat = cfg.l1.latency_cycles * self._ns_per_cycle
+            return line, now_ns + (self._store_hit_ns if is_store else self._load_hit_ns)
+        cfg = self.config.caches
+        lat = self._load_hit_ns
 
         lat += cfg.l2.latency_cycles * self._ns_per_cycle
         line = self.l2s[core].remove(base)

@@ -103,6 +103,11 @@ class System:
         self.current_tx: List[Optional[TransactionInfo]] = [None] * n
         self.contexts = [TxContext(self, core) for core in range(n)]
         self._ns_per_cycle = config.cores.ns_per_cycle
+        # Per-operation constants: each load and store starts with the
+        # base op cost, and a word is persistent from the NVMM base up
+        # (MemoryController.is_persistent).
+        self._base_op_ns = config.cores.base_op_cycles * self._ns_per_cycle
+        self._nvmm_base = config.nvmm_base
         self._fwb_interval_ns = (
             config.logging.fwb_interval_cycles * self._ns_per_cycle
         )
@@ -188,8 +193,7 @@ class System:
                 # Read-your-own non-temporal write (pre-commit).
                 self.advance(core, self.config.cores.base_op_cycles)
                 return staged[addr]
-        now = self.core_time_ns[core] + self.config.cores.base_op_cycles * self._ns_per_cycle
-        now = self.logger.tick(now)
+        now = self.logger.tick(self.core_time_ns[core] + self._base_op_ns)
         line, now = self.hierarchy.access(core, addr, now, is_store=False)
         index = (addr - line.base_addr) // WORD_BYTES
         self.core_time_ns[core] = now
@@ -197,13 +201,12 @@ class System:
         return line.word(index)
 
     def store_word(self, core: int, addr: int, value: int) -> None:
-        now = self.core_time_ns[core] + self.config.cores.base_op_cycles * self._ns_per_cycle
-        now = self.logger.tick(now)
+        now = self.logger.tick(self.core_time_ns[core] + self._base_op_ns)
         line, now = self.hierarchy.access(core, addr, now, is_store=True)
         index = (addr - line.base_addr) // WORD_BYTES
         old = line.word(index)
         tx = self.current_tx[core]
-        if tx is not None and self.controller.is_persistent(addr):
+        if tx is not None and addr >= self._nvmm_base:
             if self.crash_hook is not None:
                 self.crash_hook()
             if self.crash_plan is not None:
@@ -228,8 +231,7 @@ class System:
         logged; it reaches NVMM after commit.  Outside a transaction it
         writes through to memory directly.
         """
-        now = self.core_time_ns[core] + self.config.cores.base_op_cycles * self._ns_per_cycle
-        now = self.logger.tick(now)
+        now = self.logger.tick(self.core_time_ns[core] + self._base_op_ns)
         tx = self.current_tx[core]
         self.stats.add("nt_stores")
         if tx is not None and self.controller.is_persistent(addr):

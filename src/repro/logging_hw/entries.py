@@ -68,6 +68,16 @@ _DIRTY_MASK = (1 << _MASK_BITS) - 1
 _TIMESTAMP_MASK = (1 << 63) - 1
 _COMMIT = EntryType.COMMIT._value_
 
+# LogEntry's check of its undo data, by type value: the error for an
+# entry without undo data and for one with (None where it is valid).
+_NEED_UNDO = ("undo-carrying entries need undo data", None)
+_UNDO_ERRORS = (
+    _NEED_UNDO,                                      # UNDO_REDO
+    (None, "redo entries carry no undo data"),       # REDO
+    ("commit records use CommitRecord",) * 2,        # COMMIT
+    _NEED_UNDO,                                      # UNDO
+)
+
 
 @dataclass(frozen=True, slots=True)
 class LogEntry:
@@ -84,12 +94,9 @@ class LogEntry:
     def __post_init__(self) -> None:
         if self.addr % WORD_BYTES:
             raise ValueError("log entries are word aligned")
-        if self.type in (EntryType.UNDO_REDO, EntryType.UNDO) and self.undo is None:
-            raise ValueError("undo-carrying entries need undo data")
-        if self.type is EntryType.REDO and self.undo is not None:
-            raise ValueError("redo entries carry no undo data")
-        if self.type is EntryType.COMMIT:
-            raise ValueError("commit records use CommitRecord")
+        error = _UNDO_ERRORS[self.type._value_][self.undo is not None]
+        if error is not None:
+            raise ValueError(error)
 
     @property
     def key(self) -> Tuple[int, int, int]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.common.bitops import WORD_BYTES, WORD_MASK
+from repro.common.bitops import WORD_BYTES, WORD_MASK, WORDS_PER_LINE
 from repro.common.config import NVMConfig
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
@@ -63,6 +63,7 @@ _TAG_MASK = (1 << 3 * TAG_CELLS) - 1
 PAGE_WORDS = 512
 _PAGE_SHIFT = 12
 _SLOT_MASK = PAGE_WORDS - 1
+_ZERO_LINE = (0,) * WORDS_PER_LINE
 
 
 @dataclass(slots=True)
@@ -266,7 +267,11 @@ class NvmArray:
                 page_present = page.present
             i = waddr >> 3 & _SLOT_MASK
             state = page_cells[i]
-            new, n_cells = pack_payload(enc.payload, enc.payload_bits, enc.policy)
+            if enc.payload_bits:
+                new, n_cells = pack_payload(enc.payload, enc.payload_bits, enc.policy)
+            else:
+                # No payload: no data cells, an image of 0.
+                new = n_cells = 0
             if state:
                 # Programmed before: DCW against the old cells.
                 old = state & _DATA_MASK
@@ -358,6 +363,15 @@ class NvmArray:
     def read_logical(self, addr: int) -> int:
         page = self._pages.get(addr >> _PAGE_SHIFT)
         return 0 if page is None else page.logical[addr >> 3 & _SLOT_MASK]
+
+    def read_line(self, addr: int) -> Tuple[int, ...]:
+        """The eight logical words of the line at ``addr`` (line-aligned),
+        as eight :meth:`read_logical` calls would read them."""
+        page = self._pages.get(addr >> _PAGE_SHIFT)
+        if page is None:
+            return _ZERO_LINE
+        i = addr >> 3 & _SLOT_MASK
+        return tuple(page.logical[i:i + WORDS_PER_LINE])
 
     def write_logical(self, addr: int, value: int) -> None:
         """Set a slot's logical value without cost accounting.

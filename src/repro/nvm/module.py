@@ -304,12 +304,7 @@ class NvmModule:
 
     def read_line(self, addr: int, now_ns: float) -> Tuple[Tuple[int, ...], float]:
         """Read a 64-byte line; returns (words, completion time)."""
-        finish = self.timing.read(addr, now_ns)
-        words = tuple(
-            self.array.read_logical(addr + i * WORD_BYTES)
-            for i in range(WORDS_PER_LINE)
-        )
-        return words, finish
+        return self.array.read_line(addr), self.timing.read(addr, now_ns)
 
     def decode_word(self, addr: int, base_word: Optional[int] = None) -> int:
         """Decode one stored word through the codec (exercised by recovery).

@@ -16,6 +16,7 @@ an 80 % drain watermark (Table III).  We approximate it:
   queue to drain back to the watermark (the WQF "write drain" phase).
 """
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
@@ -72,11 +73,11 @@ class WriteQueue:
         # Service ends are monotone per channel because banks serialize,
         # but cross-bank writes may complete out of order; keep sorted so
         # drain queries stay correct.
-        if self._service_ends and service_end_ns < self._service_ends[-1]:
-            items = sorted(list(self._service_ends) + [service_end_ns])
-            self._service_ends = deque(items)
+        ends = self._service_ends
+        if ends and service_end_ns < ends[-1]:
+            insort(ends, service_end_ns)
         else:
-            self._service_ends.append(service_end_ns)
+            ends.append(service_end_ns)
 
 
 class BankTiming:

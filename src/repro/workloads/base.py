@@ -57,16 +57,32 @@ class WorkloadParams:
 
 
 class SetupContext:
-    """Same load/store interface as TxContext, but untimed and unlogged."""
+    """Same load/store interface as TxContext, but untimed and unlogged.
+
+    Persistent words go straight to the NVM array bound at construction
+    (as :meth:`System.setup_load` and ``setup_store`` would send them),
+    so build a context after the system's last reset.  DRAM words, and
+    every store while a recorder is attached (it must see each one, in
+    order), take the ``System.setup_*`` path.
+    """
 
     def __init__(self, system) -> None:
         self._system = system
+        array = system.controller.nvm.array
+        self._nvmm_base = system.config.nvmm_base
+        self._read = array.read_logical
+        self._write = array.write_logical
 
     def load(self, addr: int) -> int:
+        if addr >= self._nvmm_base:
+            return self._read(addr)
         return self._system.setup_load(addr)
 
     def store(self, addr: int, value: int) -> None:
-        self._system.setup_store(addr, value)
+        if addr >= self._nvmm_base and self._system.recorder is None:
+            self._write(addr, value)
+        else:
+            self._system.setup_store(addr, value)
 
     def load_words(self, addr: int, count: int) -> List[int]:
         return [self.load(addr + i * WORD_BYTES) for i in range(count)]
