@@ -9,7 +9,8 @@ from the same draws), with the metadata through the data codec's memo;
 then a flat-map array that programs every word through
 :func:`~repro.nvm.cell.dcw_cost` (three dicts keyed by word address, no
 pages, no pristine step); then the bank timing's write as it was
-(``location``, ``accept_time``, the bank's busy-until step, ``push``).
+(``location``, the write queue's ``accept_time``, the bank's busy-until
+step, the queue's ``push`` with its sorted rebuild).
 Every comparison is ``==``, floats included.
 
 The last test pins what one log entry programs per entry type.  An
@@ -17,6 +18,7 @@ The last test pins what one log entry programs per entry type.  An
 spill, recorded in ROADMAP.md and kept until the goldens are regenerated.
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -114,10 +116,18 @@ class FlatArray:
 
 
 def timing_write(timing, addr, now_ns, latency_ns) -> WriteSchedule:
-    """BankTiming.write as it was, its ``_acquire`` step inlined."""
+    """BankTiming.write as it was, its ``_acquire`` step inlined, and the
+    write queue's ``accept_time`` and ``push`` as they were."""
     channel, bank = timing.location(addr)
     queue = timing._queues[channel]
-    accept = queue.accept_time(now_ns)
+    ends = queue._service_ends
+    while ends and ends[0] <= now_ns:
+        ends.popleft()
+    if len(ends) < queue.capacity:
+        accept = now_ns
+    else:
+        # Wait for the oldest in-flight write to finish.
+        accept = ends[len(ends) - queue.capacity]
     stall = accept - now_ns
     if stall > 0:
         timing.stats.add("write_queue_stall_ns", stall)
@@ -125,7 +135,11 @@ def timing_write(timing, addr, now_ns, latency_ns) -> WriteSchedule:
     begin = max(accept, timing._busy_until.get((channel, bank), 0.0))
     end = begin + duration
     timing._busy_until[(channel, bank)] = end
-    queue.push(end)
+    # An end before the queue's last one: a sorted rebuild.
+    if ends and end < ends[-1]:
+        queue._service_ends = deque(sorted(list(ends) + [end]))
+    else:
+        ends.append(end)
     timing.stats.add("writes")
     return WriteSchedule(accept_ns=accept, finish_ns=end, stall_ns=stall)
 
