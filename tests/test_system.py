@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
-from repro.core.designs import DESIGN_NAMES, make_system
+from repro.core.designs import DESIGN_NAMES, available_designs, make_system
 from repro.logging_hw.fwb import FwbLogger
 from repro.logging_hw.morlog import MorLogLogger
 from repro.workloads.base import WorkloadParams, make_workload
@@ -114,6 +114,19 @@ class TestSystemBasics:
         system.store_word(0, dram_addr, 3)
         system.hierarchy.drain_all(system.core_time_ns[0])
         assert system.controller.dram.read_word(dram_addr) == 3
+
+    @pytest.mark.parametrize("design", available_designs(True, True))
+    def test_each_nt_store_counts_once(self, design):
+        system = make_tiny_system(design)
+        base = system.config.nvmm_base
+        system.begin_tx(0)
+        system.store_word_nt(0, base, 1)
+        system.store_word_nt(0, base + 0x40, 2)
+        assert system.stats.get("nt_stores") == 2
+        system.end_tx(0)
+        outside = make_tiny_system(design)
+        outside.store_word_nt(0, base, 3)
+        assert outside.stats.get("nt_stores") == 1
 
     def test_nested_tx_flattened(self):
         system = make_tiny_system()
