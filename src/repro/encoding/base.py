@@ -12,9 +12,20 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.common.bitops import WORD_BITS, mask_word
+from repro.common.frozen import slot_init
 from repro.encoding.expansion import ExpansionPolicy
 
 
+def _check_encoded(payload: int, payload_bits: int, tag_bits: int) -> None:
+    if payload_bits < 0 or tag_bits < 0:
+        raise ValueError("bit counts cannot be negative")
+    if payload < 0:
+        raise ValueError("payload must be unsigned")
+    if payload >> payload_bits:
+        raise ValueError("payload wider than payload_bits")
+
+
+@slot_init(_check_encoded)
 @dataclass(frozen=True, slots=True)
 class EncodedWord:
     """The result of encoding one 64-bit word for an NVMM write.
@@ -53,14 +64,6 @@ class EncodedWord:
     def total_bits(self) -> int:
         """Bits that must reach NVMM for this word (payload + tags)."""
         return 0 if self.silent else self.payload_bits + self.tag_bits
-
-    def __post_init__(self) -> None:
-        if self.payload_bits < 0 or self.tag_bits < 0:
-            raise ValueError("bit counts cannot be negative")
-        if self.payload < 0:
-            raise ValueError("payload must be unsigned")
-        if self.payload >> self.payload_bits:
-            raise ValueError("payload wider than payload_bits")
 
 
 class WordCodec:

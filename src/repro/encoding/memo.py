@@ -9,10 +9,11 @@ the encoding package uses to make that cheap:
 - :class:`LruMemo` — a small bounded LRU mapping immutable keys (words,
   dirty masks, contexts) to immutable :class:`~repro.encoding.base.
   EncodedWord` results, with hit/miss counters for diagnostics;
-- precomputed *per-byte predicate tables* for the DLDC Table-II pattern
-  search (2-bit / 4-bit sign-extension fits, zero low nibble) and a
-  small-word FPC prefix table, replacing per-byte Python loops on the
-  match path;
+- precomputed *per-byte predicate tables* for the DLDC Table-II patterns
+  (2-bit / 4-bit sign-extension fits, zero low nibble), which the numpy
+  kernels of :mod:`repro.encoding.vector` index (the scalar search in
+  :mod:`repro.encoding.dldc` tests every dirty byte at once with lane
+  arithmetic on the packed bytes), and a small-word FPC prefix table;
 - :data:`DLDC_PATTERN_BITS` — the Table-II payload cost of every pattern
   for every dirty-byte count, so the pattern search can pick the winner
   by table lookup and build only the winning payload.

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.bitops import mask_word
+from repro.common.frozen import slot_init
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.crade import CradeCodec
 from repro.encoding.dldc import DldcCodec
@@ -20,6 +21,7 @@ from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, LruMemo
 ENCODING_TYPE_FLAG_BITS = 3
 
 
+@slot_init()
 @dataclass(frozen=True, slots=True)
 class LogWriteContext:
     """Everything SLDE knows about one word of log data.

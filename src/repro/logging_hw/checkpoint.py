@@ -48,13 +48,18 @@ class CheckpointUndoLogger(UndoOnlyLogger):
         super().__init__(config, controller, region, stats)
         self._interval = config.logging.checkpoint_interval_tx
         self._since_checkpoint = 0
+        # Txids committed since the last checkpoint, and all commits.
         self._committed: Set[int] = set()
+        self._n_committed = 0
 
     def commit_tx(self, tx, now_ns: float) -> float:
         now_ns = super().commit_tx(tx, now_ns)
+        self._n_committed += 1
+        if not self._interval:
+            return now_ns
         self._committed.add(tx.txid)
         self._since_checkpoint += 1
-        if self._interval and self._since_checkpoint >= self._interval:
+        if self._since_checkpoint >= self._interval:
             now_ns = self._checkpoint(now_ns)
         return now_ns
 
@@ -75,17 +80,20 @@ class CheckpointUndoLogger(UndoOnlyLogger):
                 if self.crash_plan is not None:
                     self.crash_plan.fire("fwb-scan")
                 now_ns = self.hierarchy.force_write_back_scan(now_ns)
-        covered = frozenset(self._committed)
+        covered = self._committed
         if self.crash_plan is not None:
             # Crash here: data fully checkpointed, log not yet compacted
             # — recovery must tolerate re-seeing the superseded entries.
-            self.crash_plan.fire("log-compaction", covered=len(covered))
+            self.crash_plan.fire("log-compaction", covered=self._n_committed)
         freed = self.region.truncate(lambda e: e.txid in covered, now_ns)
+        # No transaction is in flight here, so the covered prefix was the
+        # whole log: none of these txids has a live entry left.
+        covered.clear()
         self.stats.add("checkpoint_compacted_entries", freed)
         if self.tracer is not None:
             self.tracer.emit(
                 "checkpoint", "log", now_ns,
-                compacted=freed, covered=len(covered),
+                compacted=freed, covered=self._n_committed,
             )
             self.tracer.emit(
                 "word-state", "word-state", now_ns,

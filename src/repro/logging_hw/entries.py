@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.common.bitops import WORD_BYTES
+from repro.common.frozen import slot_init
 
 
 # Data words and log-region slots (two metadata words plus the data
@@ -79,6 +80,15 @@ _UNDO_ERRORS = (
 )
 
 
+def _check_entry(type: EntryType, addr: int, undo: Optional[int]) -> None:
+    if addr % WORD_BYTES:
+        raise ValueError("log entries are word aligned")
+    error = _UNDO_ERRORS[type._value_][undo is not None]
+    if error is not None:
+        raise ValueError(error)
+
+
+@slot_init(_check_entry)
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     """One undo+redo or redo log entry."""
@@ -91,19 +101,13 @@ class LogEntry:
     undo: Optional[int] = None      # oldest value (UNDO_REDO only)
     dirty_mask: int = 0xFF          # per-byte dirty flag (section IV-A)
 
-    def __post_init__(self) -> None:
-        if self.addr % WORD_BYTES:
-            raise ValueError("log entries are word aligned")
-        error = _UNDO_ERRORS[self.type._value_][self.undo is not None]
-        if error is not None:
-            raise ValueError(error)
-
     @property
     def key(self) -> Tuple[int, int, int]:
         """Coalescing key: the same word written by the same transaction."""
         return (self.tid, self.txid, self.addr)
 
 
+@slot_init()
 @dataclass(frozen=True, slots=True)
 class CommitRecord:
     """Transaction commit record.

@@ -32,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.bitops import WORD_BYTES, WORD_MASK, WORDS_PER_LINE
 from repro.common.config import NVMConfig
+from repro.common.frozen import slot_init
 from repro.common.stats import StatGroup
 from repro.encoding.base import EncodedWord
 from repro.encoding.expansion import CELLS_PER_WORD, ExpansionPolicy, pack_payload
@@ -79,6 +80,7 @@ class StoredWord:
     encoded: Optional[EncodedWord]
 
 
+@slot_init()
 @dataclass(frozen=True, slots=True)
 class WriteCost:
     """Accounting result of one word write or write request."""

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
 
 from repro.common.config import NVMConfig
+from repro.common.frozen import slot_init
 from repro.common.stats import StatGroup
 
 
+@slot_init()
 @dataclass(frozen=True, slots=True)
 class WriteSchedule:
     """Outcome of posting one write."""

@@ -8,14 +8,17 @@ with one multiply.  The references below are the ``fits_signed`` /
 ``word_bytes`` / byte-loop forms those replaced, kept only here.
 
 Also pinned here: the per-write value classes stay frozen, picklable and
-dict-free under ``slots=True``; a memoizing codec classifies a repeated
+dict-free under ``slots=True``, and their slot-filling ``__init__`` takes
+the dataclass's parameters, stores every field and validates as the
+generated one did; a memoizing codec classifies a repeated
 word once, and again after ``clear_memos()``; and an encoding whose
 payload does not fit its declared width is refused even when that width
 is zero.
 """
 
+import inspect
 import pickle
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from unittest import mock
 
 import pytest
@@ -175,7 +178,7 @@ class TestDirtyByteMask:
 ENCODED = EncodedWord("crade", 0x7F, 8, 5, ExpansionPolicy.EXPAND1, 0b010)
 SCHEDULE = WriteSchedule(10.0, 25.5, 0.0)
 COST = WriteCost(3, 13, 15.5, 60.25, False)
-ENTRY = LogEntry(EntryType.UNDO_REDO, 1, 7, 0x40, 0xAB, 0xCD, 0x01)
+ENTRY = LogEntry(EntryType.UNDO_REDO, 1, 7, 0x40, 0xAB, 0xCD, 0x0F)
 
 FROZEN_SLOTTED = [
     ENCODED,
@@ -205,6 +208,26 @@ class TestFrozenSlotted:
     def test_pickle_round_trip(self, obj):
         assert pickle.loads(pickle.dumps(obj)) == obj
 
+    def test_positional_and_keyword_construction(self, obj):
+        names = [f.name for f in fields(obj)]
+        values = [getattr(obj, name) for name in names]
+        # Distinct values, so a field stored into another's slot shows.
+        assert len(set(map(repr, values))) == len(values)
+        cls = type(obj)
+        positional = cls(*values)
+        keyword = cls(**dict(zip(names, values)))
+        assert positional == keyword == obj
+        for built in (positional, keyword):
+            assert [getattr(built, name) for name in names] == values
+
+    def test_init_parameters_match_fields(self, obj):
+        params = list(inspect.signature(type(obj).__init__).parameters.values())
+        assert params[0].name == "self"
+        assert [(p.name, p.default) for p in params[1:]] == [
+            (f.name, inspect.Parameter.empty if f.default is MISSING else f.default)
+            for f in fields(obj)
+        ]
+
 
 @pytest.mark.parametrize(
     "obj", FROZEN_SLOTTED + MUTABLE_SLOTTED,
@@ -214,6 +237,54 @@ def test_no_instance_dict(obj):
     # Every written NVM slot keeps its EncodedWord; an instance dict
     # makes each one half again as large.
     assert not hasattr(obj, "__dict__")
+
+
+P1 = ExpansionPolicy.EXPAND1
+
+
+@pytest.mark.parametrize("args,message", [
+    (("crade", 1, -1, 0, P1), "bit counts cannot be negative"),
+    (("crade", 1, 8, -1, P1), "bit counts cannot be negative"),
+    (("crade", -1, -1, 0, P1), "bit counts cannot be negative"),
+    (("crade", -1, 8, 0, P1), "payload must be unsigned"),
+    (("crade", 0x100, 8, 0, P1), "payload wider than payload_bits"),
+    (("crade", 5, 0, 5, P1), "payload wider than payload_bits"),
+])
+def test_invalid_encoded_word_message(args, message):
+    with pytest.raises(ValueError) as excinfo:
+        EncodedWord(*args)
+    assert str(excinfo.value) == message
+
+
+_UR, _REDO, _COMMIT, _UNDO = (
+    EntryType.UNDO_REDO, EntryType.REDO, EntryType.COMMIT, EntryType.UNDO,
+)
+
+
+@pytest.mark.parametrize("entry_type,addr,undo,message", [
+    (_UR, 0x41, 0xCD, "log entries are word aligned"),
+    (_REDO, 0x44, 0xCD, "log entries are word aligned"),
+    (_UR, 0x40, None, "undo-carrying entries need undo data"),
+    (_UNDO, 0x40, None, "undo-carrying entries need undo data"),
+    (_REDO, 0x40, 0xCD, "redo entries carry no undo data"),
+    (_COMMIT, 0x40, None, "commit records use CommitRecord"),
+    (_COMMIT, 0x40, 0xCD, "commit records use CommitRecord"),
+])
+def test_invalid_log_entry_message(entry_type, addr, undo, message):
+    with pytest.raises(ValueError) as excinfo:
+        LogEntry(entry_type, 1, 7, addr, 0xAB, undo)
+    assert str(excinfo.value) == message
+
+
+def test_replace_validates():
+    assert replace(ENCODED, payload=0xFF).payload == 0xFF
+    with pytest.raises(ValueError, match="payload wider than payload_bits"):
+        replace(ENCODED, payload=0x100)
+    assert replace(ENTRY, addr=0x48).addr == 0x48
+    with pytest.raises(ValueError, match="log entries are word aligned"):
+        replace(ENTRY, addr=0x41)
+    with pytest.raises(ValueError, match="redo entries carry no undo data"):
+        replace(ENTRY, type=EntryType.REDO)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,35 @@ def test_checkpoint_interval_zero_disables_checkpoints():
     )
     system.run(workload, 12, 2)
     assert system.logger.stats.get("checkpoints") == 0
+    assert not system.logger._committed
+
+
+def _run_ckpt_undo(n_threads, plan=None):
+    system = make_system("Ckpt-Undo", tiny_config())
+    if plan is not None:
+        system.install_crash_plan(plan)
+    system.run(make_workload("hash", WorkloadParams()), 800, n_threads)
+    return system
+
+
+@pytest.mark.parametrize("n_threads", [2, 4])
+def test_checkpoint_forgets_compacted_transactions(n_threads):
+    # Compaction leaves no entry of a checkpointed transaction in the
+    # log, so the logger keeps at most one interval's txids.
+    logger = _run_ckpt_undo(n_threads).logger
+    assert logger.stats.get("checkpoints") == 100
+    assert len(logger._committed) <= tiny_config().logging.checkpoint_interval_tx
+
+
+def test_checkpoint_covered_counts_every_commit_so_far():
+    plan = CountingPlan(keep_trace=True)
+    _run_ckpt_undo(2, plan)
+    covered = [
+        event.detail_dict()["covered"]
+        for event in plan.trace
+        if event.point == "log-compaction"
+    ]
+    assert covered == list(range(8, 801, 8))
 
 
 # ----------------------------------------------------------------------
