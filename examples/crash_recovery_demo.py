@@ -14,6 +14,7 @@ import random
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.core import make_system
 from repro.core.system import CrashInjected
+from repro.faultinject import CrashAtTxPoint
 from repro.workloads import make_workload
 from repro.workloads.base import WorkloadParams
 
@@ -28,23 +29,13 @@ def crash_run(design: str, crash_at: int, seed: int = 1234) -> None:
     workload.setup(system, 2)
     system.reset_measurement()
 
-    counter = [0]
-
-    def power_cut():
-        counter[0] += 1
-        if counter[0] >= crash_at:
-            raise CrashInjected()
-
-    system.crash_hook = power_cut
+    # Power fails at the crash_at-th transactional store or commit.
+    system.install_crash_plan(CrashAtTxPoint(crash_at))
     committed = 0
     try:
         while True:
             core = min(range(2), key=system.core_time_ns.__getitem__)
-            body = workload.transaction(core)
-            try:
-                system.run_transaction(core, body)
-            except CrashInjected:
-                raise
+            system.run_transaction(core, workload.transaction(core))
             committed += 1
     except CrashInjected:
         pass

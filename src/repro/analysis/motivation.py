@@ -14,21 +14,24 @@ every motivation number from its columns:
 - the share of stores that rewrite a word their own transaction already
   wrote (CONSEQUENCE 1's coalescing potential).
 
+The clean bytes and the census classify each store with the scalar code
+every log write runs: :func:`~repro.common.bitops.dirty_byte_mask` and
+:func:`~repro.encoding.dldc.dldc_compress_pattern`.
+
 The figure functions below record one cell of the baseline design with
 :func:`~repro.replay.record_trace` and read its statistics.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.bitops import WORD_BYTES
+from repro.common.bitops import WORD_BYTES, dirty_byte_mask, select_bytes
 from repro.common.config import SystemConfig
 from repro.common.stats import Histogram
-from repro.encoding.dldc import PATTERN_NAMES
-from repro.encoding.vector import vec_dirty_byte_mask, vec_dldc_stream_bits
+from repro.encoding.dldc import PATTERN_NAMES, dldc_compress_pattern
 from repro.replay.container import OP_STORE, OP_STORE_NT, StoreTrace, TraceError
 from repro.replay.recorder import record_trace
 from repro.workloads.base import DatasetSize, WorkloadParams
@@ -77,15 +80,15 @@ def _write_distance(core: np.ndarray, addr: np.ndarray) -> "OrderedDict[str, flo
     return out
 
 
-def _pattern_fractions(new: np.ndarray, masks: np.ndarray) -> "OrderedDict[str, float]":
-    dirty = masks != 0
-    tags, _bits, compressed = vec_dldc_stream_bits(new[dirty], masks[dirty])
-    per_tag = np.bincount(tags[compressed].astype(np.int64),
-                          minlength=len(PATTERN_NAMES))
-    counts = OrderedDict(
-        (name, int(per_tag[tag])) for tag, name in PATTERN_NAMES.items()
+def _pattern_fractions(new: List[int], masks: List[int]) -> "OrderedDict[str, float]":
+    counts: "OrderedDict[str, int]" = OrderedDict(
+        (name, 0) for name in PATTERN_NAMES.values()
     )
-    counts["uncompressed"] = int((~compressed).sum())
+    counts["uncompressed"] = 0
+    for word, mask in zip(new, masks):
+        if mask:
+            match = dldc_compress_pattern(select_bytes(word, mask))
+            counts["uncompressed" if match is None else PATTERN_NAMES[match[0]]] += 1
     total = sum(counts.values()) or 1
     return OrderedDict((name, count / total) for name, count in counts.items())
 
@@ -117,15 +120,16 @@ def motivation_stats(trace: StoreTrace, nvmm_base: int) -> MotivationStats:
         )
     addr = addrs[at]
     tx = np.searchsorted(trace.tx_start.astype(np.int64), at, side="right") - 1
-    masks = vec_dirty_byte_mask(old, new)
+    new_words = new.tolist()
+    masks = [dirty_byte_mask(o, w) for o, w in zip(old.tolist(), new_words)]
     n = int(at.size)
+    dirty_bytes = sum(mask.bit_count() for mask in masks)
     return MotivationStats(
         write_distance=_write_distance(trace.tx_core[tx], addr),
         clean_byte_fraction=(
-            (WORD_BYTES * n - int(np.bitwise_count(masks).sum())) / (WORD_BYTES * n)
-            if n else 0.0
+            (WORD_BYTES * n - dirty_bytes) / (WORD_BYTES * n) if n else 0.0
         ),
-        pattern_fractions=_pattern_fractions(new, masks),
+        pattern_fractions=_pattern_fractions(new_words, masks),
         rewrite_fraction=int(_repeats(tx, addr)[1].sum()) / n if n else 0.0,
     )
 

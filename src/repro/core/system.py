@@ -137,9 +137,6 @@ class System:
         # on_tx_dispatch / on_tx_store plus the TxContext op hooks
         # (see repro.replay.recorder.TraceRecorder).
         self.recorder = None
-        # Optional crash hook called before every transactional store
-        # (temporal and non-temporal) and before every commit sequence.
-        self.crash_hook: Optional[Callable[[], None]] = None
         # Optional fault-injection plan observing named crash points
         # (see repro.faultinject.plan); installed on every layer at once.
         self.crash_plan = None
@@ -207,8 +204,6 @@ class System:
         old = line.word(index)
         tx = self.current_tx[core]
         if tx is not None and addr >= self._nvmm_base:
-            if self.crash_hook is not None:
-                self.crash_hook()
             if self.crash_plan is not None:
                 self.crash_plan.fire("tx-store", txid=tx.txid, addr=addr)
             if self.trace is not None:
@@ -235,8 +230,6 @@ class System:
         tx = self.current_tx[core]
         self.stats.add("nt_stores")
         if tx is not None and self.controller.is_persistent(addr):
-            if self.crash_hook is not None:
-                self.crash_hook()
             if self.crash_plan is not None:
                 self.crash_plan.fire("tx-nt-store", txid=tx.txid, addr=addr)
             # Keep any cached copy coherent before bypassing the caches.
@@ -308,8 +301,6 @@ class System:
         tx = self.current_tx[core]
         if tx is None:
             raise RuntimeError("Tx_End without Tx_Begin on core %d" % core)
-        if self.crash_hook is not None:
-            self.crash_hook()
         if self.crash_plan is not None:
             self.crash_plan.fire("tx-commit", txid=tx.txid)
         now = self.logger.commit_tx(tx, self.core_time_ns[core])
@@ -401,19 +392,23 @@ class System:
         an empty log region, pristine NVM cells — instead of inheriting the
         previous run's residue.  Rebuilding via the constructor makes
         that equivalence hold by construction; externally installed taps
-        (trace, crash hook, crash plan) survive the rebuild.
+        (trace, recorder, crash plan, tracer, and the WAL checker's
+        data-write and log-append observers) survive the rebuild.
         """
         trace = self.trace
         recorder = self.recorder
-        crash_hook = self.crash_hook
         crash_plan = self.crash_plan
         tracer = self.tracer
         trace_config = self.trace_config
+        data_write_observer = self.controller.data_write_observer
+        append_observers = [r.append_observer for r in self.log_region.regions]
         self.__init__(self.config, self._logger_factory, self.design_name)
         self.trace = trace
         self.recorder = recorder
-        self.crash_hook = crash_hook
         self.trace_config = trace_config
+        self.controller.data_write_observer = data_write_observer
+        for region, observer in zip(self.log_region.regions, append_observers):
+            region.append_observer = observer
         if crash_plan is not None:
             self.install_crash_plan(crash_plan)
         if tracer is not None:

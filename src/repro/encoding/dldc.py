@@ -11,6 +11,10 @@ value of the write that produced it), DLDC:
 3. then tries to compress the dirty-byte string with the eight
    predetermined data patterns of Table II, keeping the smallest match.
 
+The search tests every dirty byte at once with lane arithmetic and picks
+the winner from :data:`DLDC_PATTERN_BITS`; the motivation statistics
+(:mod:`repro.analysis.motivation`) take Table II's census from it too.
+
 Decoding needs the dirty flag plus a *base word* supplying the clean
 bytes.  During recovery the base word is the in-place data at the entry's
 home address, whose clean bytes were never programmed (DCW skips them).
@@ -28,7 +32,6 @@ from repro.common.bitops import (
 )
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.expansion import policy_for_size
-from repro.encoding.memo import DLDC_PATTERN_BITS
 
 DLDC_TAG_BITS = 3
 # 1-bit header distinguishing pattern-compressed from raw dirty bytes; the
@@ -45,6 +48,27 @@ PATTERN_NAMES = {
     0b101: "4-byte-se",
     0b110: "4-bit-zero-padded-per-byte",
     0b111: "zero-low-byte",
+}
+
+#: Table-II payload bits, ``DLDC_PATTERN_BITS[tag][k]`` on a ``k``-byte
+#: dirty string; None below the shortest string a pattern is defined for
+#: (k = 0 is a silent write, which never reaches the search; a
+#: sign-extension pattern needs a string wider than its base, zero-low-byte
+#: a second byte).  Every defined cost plus the tag is below the ``8 * k``
+#: raw bits, so any match beats the raw dirty bytes (pinned in
+#: tests/test_dldc.py).
+DLDC_PATTERN_BITS = {
+    tag: tuple(cost(k) if k >= min_k else None for k in range(WORD_BYTES + 1))
+    for tag, min_k, cost in (
+        (0b000, 1, lambda k: 0),            # all-zero
+        (0b001, 1, lambda k: 2 * k),        # 2-bit sign-extension per byte
+        (0b010, 1, lambda k: 4 * k),        # 4-bit sign-extension per byte
+        (0b011, 2, lambda k: 8),            # 1-byte sign-extended value
+        (0b100, 3, lambda k: 16),           # 2-byte sign-extended value
+        (0b101, 5, lambda k: 32),           # 4-byte sign-extended value
+        (0b110, 1, lambda k: 4 * k),        # zero-padded low nibbles
+        (0b111, 2, lambda k: 8 * (k - 1)),  # zero low byte
+    )
 }
 
 # The search works on the k dirty bytes packed little-endian into one
@@ -197,7 +221,7 @@ class DldcCodec(WordCodec):
         for i, shift in enumerate(shifts):
             v |= (word >> shift & 0xFF) << 8 * i
         match = _compress(v, k)
-        if match is not None and match[2] + DLDC_TAG_BITS < 8 * k:
+        if match is not None:
             tag, payload, bits = match
             stream = 1 | (tag << DLDC_HEADER_BITS) | (
                 payload << (DLDC_HEADER_BITS + DLDC_TAG_BITS)

@@ -6,7 +6,8 @@ frequent patterns and, when one matches, stored as a 3-bit prefix plus a
 short payload.  The pattern set below follows the classic FPC table lifted
 to 64-bit words (zero word, narrow sign-extended values, a zero-padded
 upper half, repeated bytes), with prefix 0b111 reserved for uncompressed
-words.
+words.  :func:`fpc_match` classifies by arithmetic, and words below 256
+by the :data:`FPC_SMALL_WORD_PREFIX` table.
 """
 
 from typing import Optional
@@ -14,7 +15,7 @@ from typing import Optional
 from repro.common.bitops import WORD_BITS, WORD_MASK, mask_word, sign_extend
 from repro.encoding.base import EncodedWord, WordCodec
 from repro.encoding.expansion import policy_for_size
-from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, FPC_SMALL_WORD_PREFIX, LruMemo
+from repro.encoding.memo import DEFAULT_MEMO_ENTRIES, LruMemo
 
 FPC_TAG_BITS = 3
 
@@ -44,6 +45,16 @@ _PAYLOAD_FIELDS = tuple(
 _BYTE_LANES = 0x0101_0101_0101_0101
 
 
+#: word value (< 256) -> FPC prefix class, as :func:`fpc_match` finds
+#: it: zero, then 4-, 8- or 16-bit sign extension (no nonzero small word
+#: repeats a byte).  Small words dominate log and metadata traffic
+#: (counters, keys, flags), so the full pattern match is skipped for them.
+FPC_SMALL_WORD_PREFIX = tuple(
+    0b000 if w == 0 else 0b001 if w < 0x8 else 0b010 if w < 0x80 else 0b011
+    for w in range(256)
+)
+
+
 def fpc_match(word: int) -> int:
     """Return the FPC prefix for the smallest pattern matching ``word``.
 
@@ -54,7 +65,7 @@ def fpc_match(word: int) -> int:
     word &= WORD_MASK
     if word < 256:
         # Small words dominate log metadata and workload values; their
-        # prefix class is a table lookup (repro.encoding.memo).
+        # prefix class is a table lookup.
         return FPC_SMALL_WORD_PREFIX[word]
     if (word + 0x8) & WORD_MASK < 0x10:
         return 0b001

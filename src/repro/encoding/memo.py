@@ -1,22 +1,12 @@
-"""Hot-path codec memoization: LRU result caches and lookup tables.
+"""Hot-path codec memoization: a bounded LRU cache of codec results.
 
 Every simulated NVM write funnels through a word codec, and workload word
 values repeat heavily (SPS swaps the same array cells back and forth,
 B-tree keys cluster, allocations zero-fill), so the same codec decisions
-are recomputed over and over.  This module supplies the three ingredients
-the encoding package uses to make that cheap:
-
-- :class:`LruMemo` — a small bounded LRU mapping immutable keys (words,
-  dirty masks, contexts) to immutable :class:`~repro.encoding.base.
-  EncodedWord` results, with hit/miss counters for diagnostics;
-- precomputed *per-byte predicate tables* for the DLDC Table-II patterns
-  (2-bit / 4-bit sign-extension fits, zero low nibble), which the numpy
-  kernels of :mod:`repro.encoding.vector` index (the scalar search in
-  :mod:`repro.encoding.dldc` tests every dirty byte at once with lane
-  arithmetic on the packed bytes), and a small-word FPC prefix table;
-- :data:`DLDC_PATTERN_BITS` — the Table-II payload cost of every pattern
-  for every dirty-byte count, so the pattern search can pick the winner
-  by table lookup and build only the winning payload.
+are recomputed over and over.  :class:`LruMemo` makes that cheap: a small
+bounded LRU mapping immutable keys (words, dirty masks, contexts) to
+immutable :class:`~repro.encoding.base.EncodedWord` results, with
+hit/miss counters for diagnostics.
 
 Every memoizing codec (FPC, CRADE, BDI, SLDE) owns one
 ``LruMemo(DEFAULT_MEMO_ENTRIES)``, always on.
@@ -31,16 +21,7 @@ config, so grid cache keys and bench record digests never see it.
 from collections import OrderedDict
 from typing import Any, Dict, Hashable
 
-from repro.common.bitops import WORD_BYTES, fits_signed
-
-__all__ = [
-    "LruMemo",
-    "BYTE_FITS_SE2",
-    "BYTE_FITS_SE4",
-    "BYTE_LOW_NIBBLE_ZERO",
-    "DLDC_PATTERN_BITS",
-    "FPC_SMALL_WORD_PREFIX",
-]
+__all__ = ["LruMemo", "DEFAULT_MEMO_ENTRIES"]
 
 #: Bound of each codec's LRU.  Word values in the paper's workloads
 #: cluster far below this, so it behaves like an unbounded cache while
@@ -113,69 +94,3 @@ class LruMemo:
             "maxsize": self.maxsize,
             "misses": self.misses,
         }
-
-
-# ---------------------------------------------------------------------------
-# Per-byte predicate tables (DLDC Table-II pattern search)
-# ---------------------------------------------------------------------------
-
-#: byte value -> fits a 2-bit sign-extended encoding (Table II tag 001).
-BYTE_FITS_SE2 = tuple(fits_signed(b, 2, 8) for b in range(256))
-
-#: byte value -> fits a 4-bit sign-extended encoding (Table II tag 010).
-BYTE_FITS_SE4 = tuple(fits_signed(b, 4, 8) for b in range(256))
-
-#: byte value -> low nibble is zero (Table II tag 110, zero-padded).
-BYTE_LOW_NIBBLE_ZERO = tuple(b & 0x0F == 0 for b in range(256))
-
-
-def _pattern_bits_table() -> Dict[int, tuple]:
-    """Payload bits of each Table-II pattern per dirty-byte count ``k``.
-
-    ``DLDC_PATTERN_BITS[tag][k]`` is the payload size in bits when the
-    pattern applies to a ``k``-byte dirty string; None marks counts the
-    pattern is undefined for (the sign-extension patterns need strings
-    strictly wider than their base).  Index 0 is always None — an empty
-    dirty string is a silent write and never reaches the pattern search.
-    """
-    table: Dict[int, list] = {tag: [None] * (WORD_BYTES + 1) for tag in range(8)}
-    for k in range(1, WORD_BYTES + 1):
-        table[0b000][k] = 0           # all-zero
-        table[0b001][k] = 2 * k       # 2-bit sign-extension per byte
-        table[0b010][k] = 4 * k       # 4-bit sign-extension per byte
-        if 8 * k > 8:
-            table[0b011][k] = 8       # 1-byte sign-extended value
-        if 8 * k > 16:
-            table[0b100][k] = 16      # 2-byte sign-extended value
-        if 8 * k > 32:
-            table[0b101][k] = 32      # 4-byte sign-extended value
-        table[0b110][k] = 4 * k       # zero-padded low nibbles
-        if k > 1:
-            table[0b111][k] = 8 * (k - 1)  # zero low byte
-    return {tag: tuple(bits) for tag, bits in table.items()}
-
-
-#: Table-II pattern payload costs, ``DLDC_PATTERN_BITS[tag][k]``.
-DLDC_PATTERN_BITS = _pattern_bits_table()
-
-
-# ---------------------------------------------------------------------------
-# FPC prefix fast path
-# ---------------------------------------------------------------------------
-
-def _small_word_prefix(word: int) -> int:
-    # Mirrors repro.encoding.fpc.fpc_match for words < 256, computed once
-    # at import (fpc imports this table, so the logic is inlined here).
-    if word == 0:
-        return 0b000
-    if fits_signed(word, 4):
-        return 0b001
-    if fits_signed(word, 8):
-        return 0b010
-    return 0b011  # 8 < word < 256 always fits 16-bit sign extension
-
-
-#: word value (< 256) -> FPC prefix class.  Small words dominate log and
-#: metadata traffic (counters, keys, flags), so the full pattern match is
-#: skipped for them.
-FPC_SMALL_WORD_PREFIX = tuple(_small_word_prefix(w) for w in range(256))

@@ -20,6 +20,7 @@ from repro.faultinject.plan import (
     CRASH_POINTS,
     CountingPlan,
     CrashAt,
+    CrashAtTxPoint,
     CrashEvent,
     CrashPlan,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "CRASH_POINTS",
     "CountingPlan",
     "CrashAt",
+    "CrashAtTxPoint",
     "CrashEvent",
     "CrashPlan",
     "CrashSchedule",

@@ -156,3 +156,25 @@ class CrashAt(CrashPlan):
         if event.index == self.crash_index:
             self.crash_event = event
             raise CrashInjected()
+
+
+class CrashAtTxPoint(CrashPlan):
+    """Raise :class:`CrashInjected` at the ``n``-th transactional store
+    (``tx-store``, ``tx-nt-store``) or commit (``tx-commit``), and at
+    every one after it: a machine that lost power stays down."""
+
+    TX_POINTS = frozenset(("tx-store", "tx-nt-store", "tx-commit"))
+
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        if n < 1:
+            raise ValueError("crash count is 1-based")
+        self.remaining = n
+
+    def on_event(self, event: CrashEvent) -> None:
+        from repro.core.system import CrashInjected
+
+        if event.point in self.TX_POINTS:
+            self.remaining -= 1
+            if self.remaining <= 0:
+                raise CrashInjected()

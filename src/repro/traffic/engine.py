@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.designs import make_system
 from repro.core.system import CrashInjected, System
+from repro.faultinject.plan import CrashAtTxPoint
 from repro.traffic.arrivals import ARRIVAL_PROCESSES, make_arrivals
 from repro.traffic.tenancy import TenantTable
 from repro.workloads.base import WorkloadParams
@@ -181,9 +182,10 @@ def run_traffic_system(
 ) -> Tuple[TrafficResult, System]:
     """Drive one open-loop scenario; returns (result, system).
 
-    With ``crash_at_arrival`` set, a crash hook is armed once that many
-    arrivals have been admitted: the next transactional store raises
-    :class:`CrashInjected`, execution stops, and the returned system is
+    With ``crash_at_arrival`` set, a :class:`CrashAtTxPoint` plan is
+    installed once that many arrivals have come in: the next
+    transactional store or commit raises :class:`CrashInjected`,
+    execution stops, and the returned system is
     left un-drained so callers can inspect log occupancy and run
     recovery — the crash-under-peak-load composition.
     """
@@ -237,14 +239,11 @@ def run_traffic_system(
         completions_by_tenant[tenant] += 1
         completed += 1
 
-    def crash_now() -> None:
-        raise CrashInjected("traffic crash under load")
-
     try:
         for index, arrival_ns in enumerate(arrivals):
             if (crash_at_arrival is not None and index >= crash_at_arrival
-                    and system.crash_hook is None):
-                system.crash_hook = crash_now
+                    and system.crash_plan is None):
+                system.install_crash_plan(CrashAtTxPoint(1))
             tenant = tenants.draw(draw_rng)
             core = tenants.home_core[tenant]
             component = tenants.component[tenant]

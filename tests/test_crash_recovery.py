@@ -23,6 +23,7 @@ import pytest
 
 from repro.core.designs import DESIGN_NAMES, make_system
 from repro.core.system import CrashInjected
+from repro.faultinject import CrashAtTxPoint
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import tiny_config
 
@@ -54,14 +55,7 @@ def run_until_crash(design, workload_name, seed, crash_at, n_threads=2, max_tx=1
 
     tap = WriteSetTap()
     system.trace = tap
-    counter = [0]
-
-    def hook():
-        counter[0] += 1
-        if counter[0] >= crash_at:
-            raise CrashInjected()
-
-    system.crash_hook = hook
+    system.install_crash_plan(CrashAtTxPoint(crash_at))
     committed = []
     try:
         done = 0
@@ -201,14 +195,7 @@ def test_crash_consistency_under_log_pressure(design):
     system.reset_measurement()
     tap = WriteSetTap()
     system.trace = tap
-    counter = [0]
-
-    def hook():
-        counter[0] += 1
-        if counter[0] >= 2500:
-            raise CrashInjected()
-
-    system.crash_hook = hook
+    system.install_crash_plan(CrashAtTxPoint(2500))
     committed = []
     try:
         while len(committed) < 400:

@@ -2,7 +2,8 @@
 
 The codec searches the patterns on the dirty bytes packed into one int,
 with lane arithmetic.  The per-byte list search and stream build it
-replaced are kept below as the reference the packed path must equal.
+replaced are kept below as the reference the packed path must equal,
+with their own per-byte tables and pattern costs.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.encoding.base import EncodedWord
 from repro.encoding.crade import CradeCodec
 from repro.encoding.dldc import (
     DLDC_HEADER_BITS,
+    DLDC_PATTERN_BITS,
     DLDC_TAG_BITS,
     DldcCodec,
     DldcEncoding,
@@ -26,12 +28,6 @@ from repro.encoding.dldc import (
     dldc_decompress_pattern,
 )
 from repro.encoding.expansion import ExpansionPolicy, policy_for_size
-from repro.encoding.memo import (
-    BYTE_FITS_SE2,
-    BYTE_FITS_SE4,
-    BYTE_LOW_NIBBLE_ZERO,
-    DLDC_PATTERN_BITS,
-)
 
 words = st.integers(min_value=0, max_value=(1 << 64) - 1)
 byte_strings = st.lists(
@@ -198,6 +194,27 @@ class TestParse:
 # The per-byte list search and stream build, as the reference
 # ---------------------------------------------------------------------------
 
+# The reference's own per-byte predicates and costs: it reads no table
+# from the codec it checks.
+BYTE_FITS_SE2 = tuple(fits_signed(b, 2, 8) for b in range(256))
+BYTE_FITS_SE4 = tuple(fits_signed(b, 4, 8) for b in range(256))
+BYTE_LOW_NIBBLE_ZERO = tuple(b & 0x0F == 0 for b in range(256))
+
+
+def reference_pattern_bits(tag, k):
+    """Table II's payload bits on a ``k``-byte string, None if undefined."""
+    return {
+        0b000: 0,
+        0b001: 2 * k,
+        0b010: 4 * k,
+        0b011: 8 if k > 1 else None,
+        0b100: 16 if k > 2 else None,
+        0b101: 32 if k > 4 else None,
+        0b110: 4 * k,
+        0b111: 8 * (k - 1) if k > 1 else None,
+    }[tag]
+
+
 def reference_pattern_payload(tag, data, value):
     if tag == 0b000:
         return 0
@@ -234,24 +251,23 @@ def reference_compress_pattern(data):
     value = bytes_to_word(data)
     if value == 0:
         return 0b000, 0, 0
-    costs = DLDC_PATTERN_BITS
     best_tag = -1
     best_bits = 1 << 30
     if all(BYTE_FITS_SE2[b] for b in data):
-        best_tag, best_bits = 0b001, costs[0b001][k]
-    bits = costs[0b010][k]
+        best_tag, best_bits = 0b001, reference_pattern_bits(0b001, k)
+    bits = reference_pattern_bits(0b010, k)
     if bits < best_bits and all(BYTE_FITS_SE4[b] for b in data):
         best_tag, best_bits = 0b010, bits
     for tag, from_bits in ((0b011, 8), (0b100, 16), (0b101, 32)):
-        bits = costs[tag][k]
+        bits = reference_pattern_bits(tag, k)
         if bits is not None and bits < best_bits and fits_signed(
             value, from_bits, n_bits
         ):
             best_tag, best_bits = tag, bits
-    bits = costs[0b110][k]
+    bits = reference_pattern_bits(0b110, k)
     if bits < best_bits and all(BYTE_LOW_NIBBLE_ZERO[b] for b in data):
         best_tag, best_bits = 0b110, bits
-    bits = costs[0b111][k]
+    bits = reference_pattern_bits(0b111, k)
     if bits is not None and bits < best_bits and data[0] == 0:
         best_tag, best_bits = 0b111, bits
     if best_tag < 0:
@@ -341,3 +357,17 @@ class TestPackedSearchEqualsReference:
         # both cost 8 bits on a 4-byte string; the lower tag wins.
         assert dldc_compress_pattern([0x01, 0, 0, 0]) == (0b001, 0b01, 8)
         assert reference_compress_pattern([0x01, 0, 0, 0]) == (0b001, 0b01, 8)
+
+    def test_pattern_costs_match_table_ii(self):
+        for tag, costs in DLDC_PATTERN_BITS.items():
+            assert costs[0] is None
+            for k in range(1, WORD_BYTES + 1):
+                assert costs[k] == reference_pattern_bits(tag, k), (tag, k)
+
+    def test_every_pattern_beats_the_raw_bytes(self):
+        # _encode_dirty keeps any match without a size check: each
+        # defined pattern, with its tag, must stay below the k raw bytes.
+        for tag, costs in DLDC_PATTERN_BITS.items():
+            for k in range(1, WORD_BYTES + 1):
+                if costs[k] is not None:
+                    assert costs[k] + DLDC_TAG_BITS < 8 * k, (tag, k)

@@ -141,6 +141,11 @@ class TestFpcClassifier:
     def test_compress_equals_reference(self, word):
         assert fpc_compress(word) == reference_fpc_compress(word)
 
+    def test_every_small_word(self):
+        # Words below 256 take FPC_SMALL_WORD_PREFIX; 256 the arithmetic.
+        for word in range(257):
+            assert fpc_match(word) == reference_fpc_match(word), word
+
     def test_every_sign_edge(self):
         for n in (4, 8, 16, 32, 64):
             for sign in (1, -1):

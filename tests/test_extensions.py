@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.designs import make_system
 from repro.core.system import CrashInjected
+from repro.faultinject import CrashAtTxPoint
 from repro.logging_hw.region import LogRegionSet
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import make_tiny_system, tiny_config
@@ -52,14 +53,7 @@ class TestDistributedLogs:
         system.reset_measurement()
         tap = WriteSetTap()
         system.trace = tap
-        counter = [0]
-
-        def hook():
-            counter[0] += 1
-            if counter[0] >= 300:
-                raise CrashInjected()
-
-        system.crash_hook = hook
+        system.install_crash_plan(CrashAtTxPoint(300))
         committed = []
         try:
             while True:

@@ -5,10 +5,15 @@ use goes away stays unnoticed.  This test parses each module with
 ``ast`` and fails on any imported name the module never reads.  Reads
 count in code, in string annotations and in ``__all__``.  Package
 ``__init__.py`` files are exempt: their imports are re-exports.
+
+Also pinned here: importing the CLI or the encoding package loads no
+numpy (only the replay package and the motivation statistics need it).
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +99,12 @@ def test_module_reads_every_import(module):
     ]
     assert not unused, "%s imports names it never reads: %s" % (
         module, ", ".join(unused))
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.encoding"])
+def test_import_loads_no_numpy(module):
+    code = "import sys, %s; print('numpy' in sys.modules)" % module
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(SRC, os.pardir)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

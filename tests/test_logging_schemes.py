@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.designs import ABLATION_DESIGN_NAMES, make_system
 from repro.core.system import CrashInjected
+from repro.faultinject import CrashAtTxPoint
 from repro.workloads.base import WorkloadParams, make_workload
 from tests.conftest import tiny_config
 
@@ -133,14 +134,7 @@ def test_crash_consistency_matrix(design):
     system.reset_measurement()
     tap = WriteSetTap()
     system.trace = tap
-    counter = [0]
-
-    def hook():
-        counter[0] += 1
-        if counter[0] >= 250:
-            raise CrashInjected()
-
-    system.crash_hook = hook
+    system.install_crash_plan(CrashAtTxPoint(250))
     committed = []
     try:
         while True:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.designs import available_designs, make_system
 from repro.core.system import CrashInjected
+from repro.faultinject import CrashAtTxPoint
 from repro.faultinject.sweep import (
     SweepOptions,
     run_sweep,
@@ -147,21 +148,14 @@ class TestRecordingAReplay:
 
 def run_crashing(system, schedule, crash_at):
     """Dispatch (core, body) pairs until the ``crash_at``-th commit point."""
-    counter = [0]
-
-    def hook():
-        counter[0] += 1
-        if counter[0] >= crash_at:
-            raise CrashInjected()
-
-    system.crash_hook = hook
+    system.install_crash_plan(CrashAtTxPoint(crash_at))
     try:
         for core, body in schedule:
             system.run_transaction(core, body)
     except CrashInjected:
         pass
     finally:
-        system.crash_hook = None
+        system.install_crash_plan(None)
 
 
 class TestCrashRecoveryEquality:

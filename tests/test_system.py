@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.core.designs import DESIGN_NAMES, available_designs, make_system
+from repro.faultinject import CrashAtTxPoint
 from repro.logging_hw.fwb import FwbLogger
 from repro.logging_hw.morlog import MorLogLogger
 from repro.workloads.base import WorkloadParams, make_workload
@@ -190,12 +191,13 @@ class TestSystemBasics:
     def test_reset_machine_preserves_taps(self):
         system = make_tiny_system()
         sentinel = object()
-        hook_calls = []
+        plan = CrashAtTxPoint(1)
         system.trace = sentinel
-        system.crash_hook = lambda: hook_calls.append(1)
+        system.install_crash_plan(plan)
         system.reset_machine()
         assert system.trace is sentinel
-        assert system.crash_hook is not None
+        assert system.crash_plan is plan
+        assert system.logger.crash_plan is plan
         assert system.stats.get("stores") == 0
 
 
