@@ -117,10 +117,6 @@ class ComparisonReport:
     def regressions(self) -> List[MetricDelta]:
         return self.by_verdict(REGRESSED)
 
-    @property
-    def improvements(self) -> List[MetricDelta]:
-        return self.by_verdict(IMPROVED)
-
     def counts(self) -> Dict[str, int]:
         out = {IMPROVED: 0, REGRESSED: 0, UNCHANGED: 0, SKIPPED: 0}
         for delta in self.deltas:

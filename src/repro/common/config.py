@@ -59,9 +59,6 @@ class CoreConfig:
     def ns_per_cycle(self) -> float:
         return 1.0 / self.freq_ghz
 
-    def cycles_from_ns(self, ns: float) -> float:
-        return ns * self.freq_ghz
-
 
 @dataclass(frozen=True)
 class CacheLevelConfig:
@@ -124,10 +121,6 @@ class NVMConfig:
 
     def write_energy_pj(self, level: int) -> float:
         return TLC_WRITE_ENERGY_PJ[level]
-
-    @property
-    def n_banks_total(self) -> int:
-        return self.channels * self.ranks * self.banks
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from repro.core.transaction import TxContext
 from repro.logging_hw.base import HardwareLogger, TransactionInfo
 from repro.logging_hw.region import LiveEntry, LogRegion, LogRegionSet
 from repro.memory.controller import MemoryController
+from repro.memory.dram import DRAM_WRITE_NS
 
 
 class CrashInjected(Exception):
@@ -60,7 +61,7 @@ class RunResult:
 
 
 class System:
-    """One simulated machine running one hardware logging design."""
+    """One simulated machine running one hardware logging design, once."""
 
     def __init__(
         self,
@@ -72,7 +73,6 @@ class System:
         config.validate()
         self.config = config
         self.design_name = design_name
-        self._logger_factory = logger_factory
         self._ran = False
         self.stats = StatGroup("system")
         self.controller = MemoryController(config, self.stats)
@@ -143,10 +143,16 @@ class System:
         # Structured event tracing (see repro.trace): a TraceBus every
         # layer publishes typed events to, or None — the emission sites
         # are all guarded so a traceless run pays only the None test.
+        # One bus on every publishing layer keeps the exported stream
+        # in one global order.
         self.tracer = None
-        self.trace_config = trace_config
         if trace_config is not None and trace_config.enabled:
-            self.install_tracer(trace_config.make_bus())
+            bus = trace_config.make_bus()
+            self.tracer = bus
+            self.logger.tracer = bus
+            self.controller.nvm.set_tracer(bus)
+            for region in self.log_region.regions:
+                region.tracer = bus
 
     def install_crash_plan(self, plan) -> None:
         """Thread a fault-injection plan through every persistence layer.
@@ -160,20 +166,6 @@ class System:
         self.controller.nvm.crash_plan = plan
         for region in self.log_region.regions:
             region.crash_plan = plan
-
-    def install_tracer(self, bus) -> None:
-        """Attach a trace bus to every event-publishing layer.
-
-        Mirrors :meth:`install_crash_plan`: the same bus object lands on
-        the system, the logger, each log region and the NVM module, so
-        the exported stream is one globally-ordered sequence of events.
-        Pass None to detach.
-        """
-        self.tracer = bus
-        self.logger.tracer = bus
-        self.controller.nvm.set_tracer(bus)
-        for region in self.log_region.regions:
-            region.tracer = bus
 
     # ------------------------------------------------------------------
     # Core-visible memory operations
@@ -243,8 +235,6 @@ class System:
             tx.n_stores += 1
             now = self.logger.on_nt_store(tx, addr, value, now)
             self._nt_staging.setdefault((tx.tid, tx.txid), {})[addr] = value
-            from repro.memory.dram import DRAM_WRITE_NS
-
             now += DRAM_WRITE_NS  # staging write
         else:
             now = self.hierarchy.flush_line(addr, now)
@@ -255,10 +245,7 @@ class System:
         """Read-modify-write one word directly to memory."""
         base = addr - (addr % self.config.caches.line_bytes)
         if self.controller.is_persistent(addr):
-            array = self.controller.nvm.array
-            words = [
-                array.read_logical(base + i * WORD_BYTES) for i in range(8)
-            ]
+            words = list(self.controller.nvm.array.read_line(base))
             words[(addr - base) // WORD_BYTES] = value
             self.controller.nvm.write_data_line(base, words, now_ns)
         else:
@@ -276,7 +263,7 @@ class System:
             lines.setdefault(base, {})[addr] = value
         array = self.controller.nvm.array
         for base, words_in_line in sorted(lines.items()):
-            words = [array.read_logical(base + i * WORD_BYTES) for i in range(8)]
+            words = list(array.read_line(base))
             for addr, value in words_in_line.items():
                 words[(addr - base) // WORD_BYTES] = value
             now_ns += self.controller.nvm.write_data_line(base, words, now_ns).stall_ns
@@ -384,45 +371,13 @@ class System:
             return self.controller.nvm.array.read_logical(addr)
         return self.controller.dram.read_word(addr)
 
-    def reset_machine(self) -> None:
-        """Rebuild every substrate, as if the System were freshly built.
-
-        :meth:`start_run` cold-resets a reused machine through here so a
-        second run sees exactly what a fresh System would — cold caches,
-        an empty log region, pristine NVM cells — instead of inheriting the
-        previous run's residue.  Rebuilding via the constructor makes
-        that equivalence hold by construction; externally installed taps
-        (trace, recorder, crash plan, tracer, and the WAL checker's
-        data-write and log-append observers) survive the rebuild.
-        """
-        trace = self.trace
-        recorder = self.recorder
-        crash_plan = self.crash_plan
-        tracer = self.tracer
-        trace_config = self.trace_config
-        data_write_observer = self.controller.data_write_observer
-        append_observers = [r.append_observer for r in self.log_region.regions]
-        self.__init__(self.config, self._logger_factory, self.design_name)
-        self.trace = trace
-        self.recorder = recorder
-        self.trace_config = trace_config
-        self.controller.data_write_observer = data_write_observer
-        for region, observer in zip(self.log_region.regions, append_observers):
-            region.append_observer = observer
-        if crash_plan is not None:
-            self.install_crash_plan(crash_plan)
-        if tracer is not None:
-            # Reattach the same bus so events captured so far survive.
-            self.install_tracer(tracer)
-
     def reset_measurement(self) -> None:
         """Zero all counters, clocks and run-loop state.
 
-        :meth:`start_run` calls it once the set-up is in place — a reused
-        System must not inherit the previous run's FWB schedule,
-        truncation epochs, staged non-temporal stores or transaction-table
-        bookkeeping, or its second run diverges from a fresh machine's
-        (regression-tested in tests/test_system.py).
+        :meth:`start_run` calls it once the set-up is in place, so the
+        run measures nothing the set-up did and inherits none of its FWB
+        schedule, truncation epochs, staged non-temporal stores or
+        transaction-table bookkeeping.
         """
         self.stats.reset()
         self.controller.nvm.timing.reset()
@@ -502,7 +457,8 @@ class System:
     def start_run(self, n_threads: int, setup: Callable[[], None]) -> None:
         """Open a run on ``n_threads`` cores.
 
-        Checks the thread count, cold-resets a machine that already ran,
+        Checks the thread count, refuses a machine that already ran (a
+        System runs once; build each run's machine with ``make_system``),
         calls ``setup()`` (the caller's untimed population) and zeroes
         measurement.  Every driver opens its run here: :meth:`run`, trace
         replay, the traffic engine and the fault sweep.
@@ -514,7 +470,9 @@ class System:
         if n_threads > self.config.cores.n_cores:
             raise ValueError("more threads than cores")
         if self._ran:
-            self.reset_machine()
+            raise RuntimeError(
+                "this System already ran; build a fresh one with make_system"
+            )
         self._ran = True
         setup()
         self.reset_measurement()

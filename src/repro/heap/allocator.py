@@ -57,7 +57,3 @@ class PersistentHeap:
     @property
     def allocated_bytes(self) -> int:
         return sum(self._sizes.values())
-
-    @property
-    def high_water_mark(self) -> int:
-        return self._bump - self.base

@@ -76,7 +76,7 @@ class HardwareLogger(CacheListener):
         # Fault-injection plan (see repro.faultinject.plan), installed by
         # System.install_crash_plan on every persistence layer at once.
         self.crash_plan = None
-        # Trace bus (see repro.trace), installed by System.install_tracer.
+        # Trace bus (see repro.trace), installed by a traced System.
         # Observation-only: emissions never touch simulated state or time.
         self.tracer = None
 

@@ -81,7 +81,7 @@ class LogRegion:
         self.append_observer: Optional[Callable] = None
         # Fault-injection plan (installed by System.install_crash_plan).
         self.crash_plan = None
-        # Trace bus (installed by System.install_tracer); observation only.
+        # Trace bus (installed by a traced System); observation only.
         self.tracer = None
         self._persist_control(0.0)
 
@@ -291,15 +291,6 @@ class LogRegionSet:
             for i in range(n_threads)
         ]
         self.stats = self.regions[0].stats
-
-    @property
-    def on_overflow(self):
-        return self.regions[0].on_overflow
-
-    @on_overflow.setter
-    def on_overflow(self, handler) -> None:
-        for region in self.regions:
-            region.on_overflow = handler
 
     def region_for(self, tid: int) -> LogRegion:
         return self.regions[tid % len(self.regions)]

@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import StatGroup
-from repro.memory.dram import Dram
+from repro.memory.dram import DRAM_READ_NS, Dram
 from repro.nvm.module import NvmModule
 
 
@@ -46,8 +46,6 @@ class MemoryController:
             if self.read_interceptor is not None:
                 staged = self.read_interceptor(addr)
                 if staged is not None:
-                    from repro.memory.dram import DRAM_READ_NS
-
                     return tuple(staged), now_ns + DRAM_READ_NS
             return self.nvm.read_line(addr, now_ns)
         return self.dram.read_line(addr, now_ns)

@@ -103,7 +103,3 @@ class PageTable:
             self.control_addr, [value], now_ns, kind=WriteKind.LOG
         )
         return now_ns + schedule.stall_ns
-
-    @staticmethod
-    def read_watermark(controller: MemoryController, config: SystemConfig) -> int:
-        return controller.nvm.array.read_logical(paging_aux_base(config))

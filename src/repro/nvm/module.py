@@ -191,10 +191,7 @@ class NvmModule:
             olds = None
             if not self.data_codec.context_free:
                 # Only an old-word codec (Flip-N-Write) reads the line.
-                olds = [
-                    self.array.read_logical(addr + i * WORD_BYTES)
-                    for i in range(len(news))
-                ]
+                olds = self.array.read_line(addr)
             encoded = self.data_codec.encode_line(news, olds)
         elif self._secure == "deuce":
             # DEUCE: only changed words are re-encrypted; the cipher

@@ -180,10 +180,8 @@ def profile_design(
     """Run one cell under the profiler; returns (RunResult, ProfileReport).
 
     Resolves through :func:`repro.experiments.parallel.resolve_cell`, so
-    an explicit non-positive count raises ``ValueError``, and builds a
-    fresh system with :func:`repro.experiments.parallel.build_cell` (the
-    shims do not survive ``reset_machine``, so the profiled run must be
-    the machine's first).
+    an explicit non-positive count raises ``ValueError``, and builds the
+    system with :func:`repro.experiments.parallel.build_cell`.
     """
     from repro.experiments.parallel import build_cell, resolve_cell
     from repro.workloads.base import DatasetSize

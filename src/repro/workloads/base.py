@@ -59,11 +59,10 @@ class WorkloadParams:
 class SetupContext:
     """Same load/store interface as TxContext, but untimed and unlogged.
 
-    Persistent words go straight to the NVM array bound at construction
-    (as :meth:`System.setup_load` and ``setup_store`` would send them),
-    so build a context after the system's last reset.  DRAM words, and
-    every store while a recorder is attached (it must see each one, in
-    order), take the ``System.setup_*`` path.
+    Persistent words go straight to the system's NVM array (as
+    :meth:`System.setup_load` and ``setup_store`` would send them).  DRAM
+    words, and every store while a recorder is attached (it must see
+    each one, in order), take the ``System.setup_*`` path.
     """
 
     def __init__(self, system) -> None:

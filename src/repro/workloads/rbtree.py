@@ -65,10 +65,6 @@ class PersistentRBTree:
     def _root(self, ctx) -> int:
         return ctx.load(self.root_ptr)
 
-    def _set_root(self, ctx, n: int) -> None:
-        ctx.store(self.root_ptr, n)
-        self._set_parent(ctx, n, 0)
-
     # -- rotations ---------------------------------------------------------
 
     def _rotate_left(self, ctx, x: int) -> None:

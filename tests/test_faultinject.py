@@ -1,16 +1,18 @@
 """Tests for the crash-point fault-injection subsystem.
 
-Covers the acceptance bar (exhaustive 10-transaction sweeps on all four
-logging schemes with zero violations; broken mutants caught with
-replayable counterexamples), recovery idempotence as its own regression,
-budget sampling determinism, the reachability of every instrumented
-crash point, and the ``repro fault-sweep`` CLI verb.
+Covers the acceptance bar (exhaustive 10-transaction sweeps on every
+registered design with zero violations; broken mutants caught with
+replayable counterexamples, and ``skip-wal`` by the WAL checker),
+recovery idempotence as its own regression, budget sampling determinism,
+the reachability of every instrumented crash point, and the
+``repro fault-sweep`` CLI verb.
 """
 
 import json
 
 import pytest
 
+from repro.analysis.walcheck import attach_wal_checker
 from repro.common.bitops import WORD_BYTES
 from repro.common.config import (
     CacheConfig,
@@ -20,7 +22,7 @@ from repro.common.config import (
     NVMConfig,
     SystemConfig,
 )
-from repro.core.designs import make_system
+from repro.core.designs import available_designs, make_system
 from repro.core.system import CrashInjected
 from repro.faultinject import (
     CRASH_POINTS,
@@ -35,6 +37,7 @@ from repro.faultinject.mutants import MUTANTS, apply_mutant
 from repro.faultinject.oracle import WriteSetTracker, check_crash_state
 from repro.faultinject.sweep import (
     DEFAULT_SWEEP_DESIGNS,
+    DESIGN_ALIASES,
     _build,
     _drive,
     resolve_design,
@@ -42,13 +45,18 @@ from repro.faultinject.sweep import (
 from tests.conftest import make_tiny_system
 
 SWEEP_DESIGNS = list(DEFAULT_SWEEP_DESIGNS)
+SWEEP_ALIASES = {full: alias for alias, full in DESIGN_ALIASES.items()}
 
 
 # ----------------------------------------------------------------------
 # The acceptance bar: exhaustive sweeps are clean, mutants are caught
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("design", SWEEP_DESIGNS + ["morlog-dp"])
+@pytest.mark.parametrize(
+    "design", available_designs(True, True),
+    # Designs with a sweep alias keep it as their test ID.
+    ids=lambda design: SWEEP_ALIASES.get(design, design),
+)
 def test_exhaustive_sweep_is_clean(design):
     result = run_sweep(design, SweepOptions(transactions=10))
     assert result.ok, result.counterexample.format()
@@ -267,24 +275,43 @@ def test_stage_release_point_fires_on_redo_only():
     assert "stage-release" in points
 
 
-def test_wal_flush_point_fires_on_fwb():
-    """An LLC write-back overtaking still-buffered entries forces a WAL
-    flush.  Needs FWB-Unsafe (no eager eviction bound keeps entries
-    buffered) plus same-set lines so write-backs come early: with 512-byte
-    stride every line lands in set 0 of all three levels, and 12 lines
-    overflow the set's aggregate capacity (2 + 2 + 4 ways)."""
-    system = make_system("FWB-Unsafe", _pressure_config())
-
+def _same_set_body(base):
+    """Store 12 lines three times, all in set 0 of every level under
+    :func:`_pressure_config`: with 512-byte stride, 12 lines overflow the
+    set's aggregate capacity (2 + 2 + 4 ways), so write-backs come early."""
     def body(ctx):
-        base = system.config.nvmm_base
         for r in range(3):
             for k in range(12):
                 ctx.store(base + k * 512, r * 12 + k + 1)
 
+    return body
+
+
+def test_wal_flush_point_fires_on_fwb():
+    """An LLC write-back overtaking still-buffered entries forces a WAL
+    flush.  Needs FWB-Unsafe (no eager eviction bound keeps entries
+    buffered) plus same-set lines so write-backs come early."""
+    system = make_system("FWB-Unsafe", _pressure_config())
     counting = CountingPlan(keep_trace=True)
-    _manual_tx(system, counting, body)
+    _manual_tx(system, counting, _same_set_body(system.config.nvmm_base))
     points = [e.point for e in counting.trace]
     assert "wal-flush" in points
+
+
+@pytest.mark.parametrize("mutant, violations", [(None, 0), ("skip-wal", 28)])
+def test_wal_checker_kills_skip_wal(mutant, violations):
+    """Here the WAL flush does work (it forces out 28 buffered entries),
+    so skipping it lets in-place write-backs overtake their entries."""
+    system = make_system("FWB-Unsafe", _pressure_config())
+    checker = attach_wal_checker(system)
+    if mutant is not None:
+        apply_mutant(system, mutant)
+    system.start_run(1, lambda: None)
+    system.run_transaction(0, _same_set_body(system.config.nvmm_base))
+    assert len(checker.violations) == violations
+    flushes = system.stats.get("wal_forced_flushes")
+    skipped = system.stats.get("mutant_skipped_wal_flushes")
+    assert (flushes, skipped) == ((28, 0) if mutant is None else (0, 28))
 
 
 def test_all_fired_points_are_catalogued():

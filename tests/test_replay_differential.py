@@ -5,10 +5,11 @@ stand in for the workload: same RunResult, same NVM image, same trace
 events, same crash-recovery and fault-sweep outcomes.  These tests pin
 that claim across the four logger families of the paper's evaluation,
 plus recording a replay on every design, the golden trace digest
-(regenerate with ``tests/make_golden_replay.py``) and the machine-reuse
-regression for back-to-back replays.
+(regenerate with ``tests/make_golden_replay.py``) and replay's refusal
+of a machine that already ran.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -234,37 +235,24 @@ class TestFaultSweepEquality:
             run_sweep("morlog", options, trace=trace)
 
 
-class TestMachineReuse:
-    """Regression: replay must cold-reset a reused machine (satellite 4)."""
-
-    def test_back_to_back_replays_match_fresh_systems(self):
-        trace_a, _r, _s = record_cell("MorLog-SLDE", workload="hash", seed=11)
-        trace_b, _r, _s = record_cell("MorLog-SLDE", workload="queue", seed=7)
-
-        fresh_a = replay_trace(make_system("MorLog-SLDE", tiny_config()), trace_a)
-        fresh_b = replay_trace(make_system("MorLog-SLDE", tiny_config()), trace_b)
-
-        reused = make_system("MorLog-SLDE", tiny_config())
-        assert_results_equal(replay_trace(reused, trace_a), fresh_a)
-        # No tx-table, FWB-schedule or log-region residue may leak into
-        # the second replay.
-        assert_results_equal(replay_trace(reused, trace_b), fresh_b)
-        fresh_b_sys = make_system("MorLog-SLDE", tiny_config())
-        replay_trace(fresh_b_sys, trace_b)
-        assert len(reused._pending_lines) == len(fresh_b_sys._pending_lines)
-
-    def test_direct_run_then_replay_and_back(self):
+class TestSingleRun:
+    def test_replay_after_run_is_refused_before_setup(self, monkeypatch):
         trace, _result, _sys = record_cell("FWB-CRADE")
-        fresh_replay = replay_trace(make_system("FWB-CRADE", tiny_config()),
-                                    trace)
-        _, fresh_run = direct_run("FWB-CRADE")
-
-        mixed = make_system("FWB-CRADE", tiny_config())
-        first = mixed.run(make_workload("hash", cell_params()), N_TX, N_THREADS)
-        assert_results_equal(first, fresh_run)
-        assert_results_equal(replay_trace(mixed, trace), fresh_replay)
-        again = mixed.run(make_workload("hash", cell_params()), N_TX, N_THREADS)
-        assert_results_equal(again, fresh_run)
+        system, first = direct_run("FWB-CRADE")
+        result_before = copy.deepcopy(first)
+        image_before = nvm_image(system)
+        stats_before = system.stats.as_dict()
+        setups = []
+        monkeypatch.setattr(
+            "repro.replay.replayer.apply_trace_setup",
+            lambda *args: setups.append(args),
+        )
+        with pytest.raises(RuntimeError, match="make_system"):
+            replay_trace(system, trace)
+        assert setups == []
+        assert first == result_before
+        assert nvm_image(system) == image_before
+        assert system.stats.as_dict() == stats_before
 
 
 # ---------------------------------------------------------------------------

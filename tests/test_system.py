@@ -1,11 +1,12 @@
 """System assembly, run loop, design factory and config tests."""
 
+import copy
+
 import pytest
 
 from repro.common.config import LoggingConfig, SystemConfig
 from repro.common.errors import ConfigError
 from repro.core.designs import DESIGN_NAMES, available_designs, make_system
-from repro.faultinject import CrashAtTxPoint
 from repro.logging_hw.fwb import FwbLogger
 from repro.logging_hw.morlog import MorLogLogger
 from repro.workloads.base import WorkloadParams, make_workload
@@ -168,38 +169,6 @@ class TestSystemBasics:
         assert not system._pending_lines
         assert not system._line_txs
 
-    def test_back_to_back_runs_match_fresh_systems(self):
-        """A reused System's second run must equal a fresh System's run.
-
-        Before the reset fix, the second run() inherited the first run's
-        FWB schedule, truncation epochs, warm caches and log region, so
-        its stats diverged from a fresh machine's.
-        """
-        def run_once(system):
-            workload = make_workload(
-                "queue", WorkloadParams(initial_items=16, key_space=64)
-            )
-            return system.run(workload, 30, n_threads=2)
-
-        fresh = [run_once(make_tiny_system()) for _ in range(2)]
-        reused_system = make_tiny_system()
-        reused = [run_once(reused_system) for _ in range(2)]
-        for fresh_result, reused_result in zip(fresh, reused):
-            assert reused_result.stats == fresh_result.stats
-            assert reused_result.elapsed_ns == fresh_result.elapsed_ns
-
-    def test_reset_machine_preserves_taps(self):
-        system = make_tiny_system()
-        sentinel = object()
-        plan = CrashAtTxPoint(1)
-        system.trace = sentinel
-        system.install_crash_plan(plan)
-        system.reset_machine()
-        assert system.trace is sentinel
-        assert system.crash_plan is plan
-        assert system.logger.crash_plan is plan
-        assert system.stats.get("stores") == 0
-
 
 class TestRunLoop:
     def test_run_returns_metrics(self):
@@ -328,15 +297,20 @@ class TestRunFrame:
         assert system.core_time_ns == [0.0] * system.config.cores.n_cores
         assert system.coherent_word(addr) == 7
 
-    def test_reused_machine_is_cold_before_setup(self):
+    def test_second_run_is_refused_before_setup(self):
         system = make_tiny_system()
-        addr = system.config.nvmm_base
-        system.start_run(1, lambda: system.setup_store(addr, 5))
-        assert system.setup_load(addr) == 5
-        seen = []
-        system.start_run(1, lambda: seen.append(system.setup_load(addr)))
-        assert seen == [make_tiny_system().setup_load(addr)]
-        assert seen != [5]
+        params = WorkloadParams(initial_items=16, key_space=64)
+        first = system.run(make_workload("queue", params), 30, n_threads=2)
+        result_before = copy.deepcopy(first)
+        machine_before = (system.stats.as_dict(), list(system.core_time_ns))
+        second = make_workload("queue", params)
+        setups = []
+        second.setup = lambda *args: setups.append(args)
+        with pytest.raises(RuntimeError, match="make_system"):
+            system.run(second, 30, n_threads=2)
+        assert setups == []
+        assert first == result_before
+        assert (system.stats.as_dict(), system.core_time_ns) == machine_before
 
     def test_measured_times_only_active_cores(self):
         system = make_tiny_system()

@@ -7,6 +7,7 @@ traced runs bit-identical to traceless ones — lives in
 ``tests/test_trace_inert.py``.
 """
 
+import copy
 import json
 
 import pytest
@@ -301,13 +302,17 @@ class TestSystemIntegration:
             if timeline.duration_ns is not None:
                 assert timeline.duration_ns >= 0.0
 
-    def test_reset_machine_preserves_bus(self):
-        system, _result = run_traced(n_tx=10)
+    def test_one_bus_on_every_layer(self):
+        system = make_system(
+            "MorLog-SLDE", tiny_config(distributed_logs=True),
+            trace=TraceConfig(enabled=True),
+        )
         bus = system.tracer
-        system.reset_machine()
-        assert system.tracer is bus
+        assert bus is not None
         assert system.logger.tracer is bus
         assert system.controller.nvm.tracer is bus
+        assert len(system.log_region.regions) > 1
+        assert all(r.tracer is bus for r in system.log_region.regions)
 
     def test_recovery_emits_recovery_event(self):
         system, _result = run_traced(n_tx=10)
@@ -394,6 +399,23 @@ class TestProfiler:
         assert plain_system.tracer is None
         assert profiled.stats == plain.stats
         assert profiled.elapsed_ns == plain.elapsed_ns
+
+    def test_second_run_is_refused_and_the_profile_stands(self):
+        system = make_system("MorLog-SLDE", tiny_config())
+        profiler = PhaseProfiler().install(system)
+        params = WorkloadParams(initial_items=64, key_space=128, seed=5)
+        first = system.run(make_workload("hash", params), 40, n_threads=2)
+        result_before = copy.deepcopy(first)
+        calls = {phase: stat.calls for phase, stat in profiler.report().phases.items()}
+        assert {"logging", "nvm", "encoding", "cache"} <= set(calls)
+        second = make_workload("hash", params)
+        setups = []
+        second.setup = lambda *args: setups.append(args)
+        with pytest.raises(RuntimeError, match="make_system"):
+            system.run(second, 40, n_threads=2)
+        assert setups == []
+        assert first == result_before
+        assert {phase: stat.calls for phase, stat in profiler.report().phases.items()} == calls
 
     def test_uninstall_restores_methods(self):
         system = make_system("MorLog-SLDE", tiny_config())
